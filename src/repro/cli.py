@@ -125,8 +125,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     grid = explore_mod.explore_grid(
         elenums=elenums, variants=variants, banks=banks,
         issue_widths=issue_widths, chaining=chaining)
-    results = explore_mod.explore(grid, workers=args.workers,
-                                  transport=args.transport)
+    results = explore_mod.explore(grid, workers=args.workers)
     print(explore_mod.render_explore(results, top=args.top))
     doc = explore_mod.build_artifact(results)
     explore_mod.validate_artifact(doc)
@@ -576,10 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also sweep chained configurations")
     p_explore.add_argument("--workers", type=int, default=1,
                            help="worker processes (1 = serial)")
-    p_explore.add_argument("--transport", default="auto",
-                           choices=("auto", "shm", "pickle"),
-                           help="pool transport for parallel sweeps "
-                                "(auto = shm)")
     p_explore.add_argument("--top", type=int, default=None,
                            help="print only the first N table rows")
     p_explore.add_argument("--out", default=None, metavar="FILE",
@@ -620,7 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--workers", type=int, default=1,
                          help="worker processes (1 = serial)")
     p_batch.add_argument("--chunk-size", type=int, default=None,
-                         help="messages per pool chunk")
+                         help="messages per initial pool span (default: "
+                              "cost-balanced, lane-aligned spans)")
     p_batch.add_argument("--seed", type=int, default=0)
     p_batch.add_argument("--algorithm", default="sha3_256",
                          choices=("sha3_256", "shake128", "shake256",
@@ -635,10 +631,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "the pure-Python reference for the "
                               "algorithms hashlib lacks)")
     p_batch.add_argument("--timeout", type=float, default=None,
-                         help="per-chunk timeout in seconds")
+                         help="per-span timeout in seconds")
     p_batch.add_argument("--resume", metavar="MANIFEST", default=None,
                          help="checkpoint manifest path: created on first "
-                              "run, completed chunks are skipped on rerun")
+                              "run, completed spans are skipped on rerun "
+                              "(on either transport)")
     _add_engine_argument(p_batch)
     p_batch.add_argument("--transport", choices=("auto", "shm", "pickle"),
                          default="auto",

@@ -10,12 +10,10 @@ configuration on the simulator, joins the calibrated
 :mod:`repro.arch.area` model, and reduces the cloud to an
 area-vs-throughput Pareto front.
 
-Points fan out over the worker pool: the pickle transport chunks
-configurations like any batch workload, and the shared-memory transport
-packs the JSON-encoded configurations into one arena, dispatches span
-descriptors, and has workers write fixed-size packed result structs
-into the arena's digest region in place — the same zero-copy machinery
-``run_many`` uses for message hashing.
+Points fan out over the worker pool through the same span scheduler
+``run_many`` uses, pickled a span at a time: a point pickles to about
+150 bytes against milliseconds of traced simulation, so a shared-memory
+arena would save nothing.
 
 Every measurement is *verified* (the permuted states must match the
 NIST-checked reference permutation — timing knobs must never change
@@ -29,7 +27,6 @@ is schema-checked by ``repro stats --check-baseline``.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,13 +34,7 @@ from ..arch.area import explore_slices
 from ..arch.metrics import throughput_e3 as _throughput_e3
 from ..keccak.permutation import keccak_f1600
 from ..parallel_exec import register_task_kind
-from ..parallel_exec import shm as _shm
-from ..parallel_exec.scheduler import (
-    chunked,
-    plan_spans,
-    run_chunks_report,
-    run_spans_report,
-)
+from ..parallel_exec.scheduler import plan_spans, run_spans_report
 from ..programs.factory import build_program
 from ..programs.session import default_session
 from ..sim.timing import TimingModel
@@ -65,12 +56,7 @@ PAPER_PINS: Dict[Tuple[int, int], Tuple[int, float]] = {
 #: The architecture variants the paper programs exist for.
 VARIANTS: Tuple[Tuple[int, int], ...] = ((64, 1), (64, 8), (32, 8))
 
-#: Fixed-size result record workers write into the arena digest region:
-#: (permutation_cycles: int64, cycles_per_round: float64).
-_RESULT_STRUCT = struct.Struct("<qd")
-
 _EXPLORE_TASK_KIND = "repro.explore"
-_EXPLORE_SHM_TASK_KIND = "repro.explore.shm"
 
 
 @dataclass(frozen=True)
@@ -201,126 +187,32 @@ def measure_point(point: ExplorePoint) -> ExploreResult:
     )
 
 
-def _point_to_wire(point: ExplorePoint) -> bytes:
-    return json.dumps(asdict(point), sort_keys=True).encode("ascii")
+def _measure_points(points: Sequence[ExplorePoint]) -> List[ExploreResult]:
+    """Pool task body: measure one span of points, in order."""
+    return [measure_point(point) for point in points]
 
 
-def _point_from_wire(blob: bytes) -> ExplorePoint:
-    return ExplorePoint(**json.loads(blob.decode("ascii")))
-
-
-def _measure_chunk(payload) -> List[Tuple[int, float, str]]:
-    """Pickle-transport task body: measure a chunk of encoded points."""
-    return [
-        (r.permutation_cycles, r.cycles_per_round, r.timing_fingerprint)
-        for r in (measure_point(_point_from_wire(blob))
-                  for blob in payload)
-    ]
-
-
-def _measure_span_shm(payload) -> Tuple[int, int]:
-    """Shm-transport task body: measure one span of packed points.
-
-    The parent packed each JSON-encoded configuration as one arena
-    message; results go back through the digest region as fixed-size
-    :data:`_RESULT_STRUCT` records — no result bytes cross the queue.
-    """
-    segment_name, start, stop = payload
-    arena = _shm.attach_arena(segment_name)
-    records = []
-    for blob in arena.read_messages(start, stop):
-        result = measure_point(_point_from_wire(blob))
-        records.append(_RESULT_STRUCT.pack(result.permutation_cycles,
-                                           result.cycles_per_round))
-    arena.write_digests(start, records)
-    return (start, stop)
-
-
-register_task_kind(_EXPLORE_TASK_KIND, _measure_chunk)
-register_task_kind(_EXPLORE_SHM_TASK_KIND, _measure_span_shm)
+register_task_kind(_EXPLORE_TASK_KIND, _measure_points)
 
 
 def explore(points: Sequence[ExplorePoint], *,
-            workers: int = 1,
-            transport: str = "auto") -> List[ExploreResult]:
+            workers: int = 1) -> List[ExploreResult]:
     """Measure every point, fanning out over the worker pool.
 
-    ``workers <= 1`` measures serially in-process.  Parallel runs use
-    the shared-memory transport by default (``transport="auto"`` or
-    ``"shm"``: configurations packed into one arena, workers write
-    packed result structs in place) or the pickle transport
-    (``"pickle"``: chunked descriptors).  Results always come back in
-    input order, bit-identical across transports and worker counts —
-    cycle counts are simulated, not measured wall-clock.
+    ``workers <= 1`` measures serially in-process; parallel runs hand
+    the points to the span scheduler, pickled a span at a time.  Results
+    always come back in input order, bit-identical across worker counts
+    — cycle counts are simulated, not measured wall-clock.
     """
-    if transport not in ("auto", "shm", "pickle"):
-        raise ValueError(f"unknown transport: {transport!r}")
     points = list(points)
-    if not points:
-        return []
     if workers <= 1:
         return [measure_point(p) for p in points]
-    if transport == "pickle":
-        raw = _explore_pickle(points, workers)
-    else:
-        raw = _explore_shm(points, workers)
-    return [
-        ExploreResult(point=point, permutation_cycles=cycles,
-                      cycles_per_round=cpr,
-                      timing_fingerprint=point.timing_model().fingerprint())
-        for point, (cycles, cpr) in zip(points, raw)
-    ]
-
-
-def _explore_pickle(points: List[ExplorePoint],
-                    workers: int) -> List[Tuple[int, float]]:
-    blobs = [_point_to_wire(p) for p in points]
-    chunk_size = max(1, -(-len(blobs) // (workers * 4)))
-    chunks = chunked(blobs, chunk_size)
-    report = run_chunks_report(_EXPLORE_TASK_KIND,
-                               [tuple(c) for c in chunks],
-                               workers=workers)
-    out: List[Tuple[int, float]] = []
-    for chunk, values in zip(chunks, report.chunk_results):
-        if values is None:
-            raise RuntimeError(
-                f"explore chunk of {len(chunk)} point(s) was quarantined")
-        out.extend((cycles, cpr) for cycles, cpr, _ in values)
-    return out
-
-
-def _explore_shm(points: List[ExplorePoint],
-                 workers: int) -> List[Tuple[int, float]]:
-    blobs = [_point_to_wire(p) for p in points]
-    sizes = [len(blob) for blob in blobs]
-    out_size = _RESULT_STRUCT.size
-    spans = plan_spans(sizes, workers)
-    pool = _shm.arena_pool()
-    arena = pool.acquire(_shm.required_size(sizes, out_size))
-    try:
-        arena.pack(blobs, out_size)
-        segment = arena.name
-
-        def payload(start: int, stop: int) -> Tuple:
-            return (segment, start, stop)
-
-        def collect(start: int, stop: int, _ack) -> List[bytes]:
-            return arena.read_digests(start, stop)
-
-        report = run_spans_report(
-            _EXPLORE_SHM_TASK_KIND, len(blobs), workers=workers,
-            payload=payload, collect=collect, spans=spans,
-            transport="shm")
-    finally:
-        pool.release(arena)
-    out: List[Tuple[int, float]] = []
-    for index, record in enumerate(report.results):
-        if record is None:
-            raise RuntimeError(
-                f"explore point {points[index].label!r} was quarantined")
-        cycles, cpr = _RESULT_STRUCT.unpack(record)
-        out.append((cycles, cpr))
-    return out
+    report = run_spans_report(
+        _EXPLORE_TASK_KIND, len(points), workers=workers,
+        payload=lambda start, stop: points[start:stop],
+        collect=lambda _start, _stop, results: results,
+        spans=plan_spans([0] * len(points), workers), transport="pickle")
+    return report.flat()
 
 
 # -- Pareto reduction and the committed artifact --------------------------------

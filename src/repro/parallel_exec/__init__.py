@@ -8,31 +8,30 @@ persistent worker processes:
 * :mod:`~repro.parallel_exec.pool` — worker lifecycle, task-kind
   registry, per-worker task queues, shared result queue, heartbeat
   pings.
-* :mod:`~repro.parallel_exec.scheduler` — chunked distribution, one
-  chunk in flight per worker, crash/timeout retry with exponential
-  backoff + jitter, per-worker circuit breaker, poisoned-chunk
-  quarantine, task errors fail fast by default.
+* :mod:`~repro.parallel_exec.scheduler` — one span scheduler for every
+  transport: lane-aligned spans, work stealing, one span in flight per
+  worker, crash/timeout retry with exponential backoff + jitter,
+  per-worker circuit breaker, poisoned-span quarantine, task errors
+  fail fast by default.
+* :mod:`~repro.parallel_exec.shm` — the zero-copy shared-memory arena
+  transport; the other transport pickles each span's items into its
+  task payload.
 * :mod:`~repro.parallel_exec.hardening` — the :class:`RetryPolicy`
   knobs, quarantine log and pool statistics backing the above.
-* :mod:`~repro.parallel_exec.checkpoint` — JSON manifest
-  checkpoint/resume so a killed batch run continues where it stopped.
-* :mod:`~repro.parallel_exec.results` — deterministic reassembly in
+* :mod:`~repro.parallel_exec.checkpoint` — the span-keyed JSON manifest
+  behind checkpoint/resume, shared by both transports.
+* :mod:`~repro.parallel_exec.results` — per-item reassembly in
   submission order, and the structured error taxonomy
   (:class:`ParallelExecError` and subclasses).
 
 Workers are *persistent*: each keeps its warm
-:class:`~repro.programs.session.Session` (predecoded programs and fused
-superblocks survive across chunks), so the per-chunk cost is the
+:class:`~repro.programs.session.Session` (predecoded programs and
+compiled kernels survive across spans), so the per-span cost is the
 simulation itself, not setup.  The high-level front ends live in
 :func:`repro.run_many` and ``batch_sha3_256(..., workers=N)``.
 """
 
-from .checkpoint import (
-    BatchCheckpoint,
-    ManifestVersionError,
-    SpanCheckpoint,
-    chunk_fingerprint,
-)
+from .checkpoint import ManifestVersionError, SpanCheckpoint
 from .hardening import (
     PoolStats,
     QuarantinedChunk,
@@ -44,21 +43,15 @@ from .results import (
     ChunkQuarantinedError,
     ChunkTimeoutError,
     ParallelExecError,
-    ResultAssembler,
     SpanAssembler,
     TaskError,
     WorkerCrashError,
 )
 from .scheduler import (
-    ChunkRunReport,
-    ChunkView,
     SpanDeque,
     SpanRunReport,
-    chunked,
     plan_spans,
-    run_chunked,
     run_chunks,
-    run_chunks_report,
     run_spans_report,
 )
 from .shm import ArenaPool, ShmArena, arena_pool, choose_transport
@@ -67,7 +60,6 @@ __all__ = [
     "WorkerPool",
     "default_worker_count",
     "register_task_kind",
-    "ResultAssembler",
     "SpanAssembler",
     "ParallelExecError",
     "TaskError",
@@ -78,19 +70,12 @@ __all__ = [
     "PoolStats",
     "QuarantineLog",
     "QuarantinedChunk",
-    "BatchCheckpoint",
     "ManifestVersionError",
     "SpanCheckpoint",
-    "chunk_fingerprint",
-    "ChunkRunReport",
-    "ChunkView",
     "SpanDeque",
     "SpanRunReport",
-    "chunked",
     "plan_spans",
-    "run_chunked",
     "run_chunks",
-    "run_chunks_report",
     "run_spans_report",
     "ArenaPool",
     "ShmArena",

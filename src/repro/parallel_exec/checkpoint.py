@@ -1,23 +1,26 @@
-"""Checkpoint/resume for chunked batch runs (JSON manifest on disk).
+"""Checkpoint/resume for span-scheduled runs (JSON manifest on disk).
 
 A killed batch run (OOM, preemption, ^C) should not redo finished work.
-The scheduler writes a manifest as chunks complete; a rerun over the
-*same* chunk list loads the manifest, pre-fills the finished chunks and
-only dispatches the rest — producing byte-identical, order-preserving
-results.
+The scheduler records each completed span as a ``"start:stop"`` key; a
+rerun over the *same* batch loads the manifest, pre-fills the finished
+item ranges and only dispatches the rest — producing byte-identical,
+order-preserving results.  The manifest does not depend on the
+transport or on how the run cut its spans, so a run interrupted on one
+transport resumes on the other.
 
 Safety properties:
 
 * **Atomic writes** — the manifest is rewritten to a temp file and
   ``os.replace``-d into place, so a kill mid-write leaves the previous
   consistent manifest, never a torn one.
-* **Fingerprinted inputs** — the manifest stores a SHA-256 fingerprint
-  per chunk payload; a resume whose chunk list does not match *exactly*
-  (kind, count and every fingerprint) starts fresh instead of silently
-  splicing stale results into a different batch.
-* **Typed values** — chunk results are lists of ``bytes`` (digests) or
-  JSON-native values; each element is tagged on disk (``{"b": hex}`` vs
-  ``{"j": value}``) so round-trips are exact.
+* **Fingerprinted inputs** — the caller fingerprints the whole batch
+  once (for hashing: algorithm, geometry and every message byte); a
+  resume whose fingerprint or item count differs starts fresh instead
+  of silently splicing stale results into a different batch.
+* **Typed values** — per-item results are ``bytes`` (digests), lists
+  of them, or JSON-native values; each element is tagged on disk
+  (``{"b": hex}``, ``{"l": [...]}`` or ``{"j": value}``) so round-trips
+  are exact.
 
 The manifest is written by the parent process only — workers never see
 it — so there is no write concurrency to manage.
@@ -25,17 +28,15 @@ it — so there is no write concurrency to manage.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Tuple
 
-#: Bumped on any incompatible manifest change.
-MANIFEST_VERSION = 1
+#: Bumped on any incompatible manifest change.  Version 1 was the
+#: retired chunk-keyed format (one fingerprint per fixed chunk).
+MANIFEST_VERSION = 2
 
-#: Span-keyed manifests (work-stealing runs) live in their own version
-#: space: a chunk-keyed manifest can never be mistaken for a span one.
-SPAN_MANIFEST_VERSION = 2
+_FORMATS = {1: "chunk-keyed", 2: "span-keyed"}
 
 
 class ManifestVersionError(ValueError):
@@ -43,21 +44,11 @@ class ManifestVersionError(ValueError):
 
     Distinct from a fingerprint mismatch (different *inputs*, safely
     restarted from scratch): a version mismatch means the manifest was
-    written by an incompatible build — or a chunk-keyed manifest was
-    handed to a span run or vice versa — and silently discarding it
-    would throw away real completed work.  Surfaces to the CLI as a
-    one-line exit-2 diagnostic.
+    written by an incompatible build — such as a chunk-keyed version 1
+    manifest — and silently discarding it would throw away real
+    completed work.  Surfaces to the CLI as a one-line exit-2
+    diagnostic.
     """
-
-
-def chunk_fingerprint(payload: Any) -> str:
-    """Stable content hash of one chunk payload.
-
-    ``repr`` is stable for the payload shapes the pool carries (tuples,
-    lists, str/bytes/int) and keeps the fingerprint independent of any
-    pickle protocol details.
-    """
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 def _encode_values(values: List[Any]) -> List[Dict[str, Any]]:
@@ -65,6 +56,8 @@ def _encode_values(values: List[Any]) -> List[Dict[str, Any]]:
     for value in values:
         if isinstance(value, bytes):
             encoded.append({"b": value.hex()})
+        elif isinstance(value, list):
+            encoded.append({"l": _encode_values(value)})
         else:
             encoded.append({"j": value})
     return encoded
@@ -75,16 +68,15 @@ def _decode_values(entries: List[Dict[str, Any]]) -> List[Any]:
     for entry in entries:
         if "b" in entry:
             values.append(bytes.fromhex(entry["b"]))
+        elif "l" in entry:
+            values.append(_decode_values(entry["l"]))
         else:
             values.append(entry["j"])
     return values
 
 
-class BatchCheckpoint:
-    """One run's resumable manifest at ``path``."""
-
-    #: The manifest format this checkpoint class reads and writes.
-    expected_version = MANIFEST_VERSION
+class SpanCheckpoint:
+    """One run's resumable manifest at ``path``, keyed by item ranges."""
 
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
@@ -94,58 +86,52 @@ class BatchCheckpoint:
         if existing is None:
             return
         version = existing.get("version")
-        if isinstance(version, int) and version != self.expected_version:
-            kinds = {MANIFEST_VERSION: "chunk-keyed",
-                     SPAN_MANIFEST_VERSION: "span-keyed"}
-            found = kinds.get(version, f"unknown (version {version})")
+        if isinstance(version, int) and version != MANIFEST_VERSION:
+            found = _FORMATS.get(version, f"unknown (version {version})")
             raise ManifestVersionError(
                 f"checkpoint manifest {self.path} is "
                 f"{found} format version {version}, but this run needs "
-                f"version {self.expected_version} — finish it with the "
-                f"run parameters that created it, or remove the file to "
-                f"start over")
+                f"version {MANIFEST_VERSION} — finish it with the build "
+                f"that created it, or remove the file to start over")
 
-    def begin(self, kind: str,
-              chunks: Sequence[Any]) -> Dict[int, List[Any]]:
-        """Open (or create) the manifest for this chunk list.
+    def begin(self, fingerprint: str,
+              total: int) -> List[Tuple[int, int, List[Any]]]:
+        """Open (or create) the manifest for one batch of ``total`` items.
 
-        Returns the already-completed chunks as ``{index: values}`` when
-        the on-disk manifest matches ``kind`` and every chunk
-        fingerprint; otherwise the manifest is reset and the returned
-        dict is empty.  A manifest from an *incompatible format version*
-        (a different build, or a span manifest handed to a chunk run)
-        raises :class:`ManifestVersionError` instead of silently
-        discarding completed work.
+        Returns every recorded span as ``(start, stop, values)`` when the
+        on-disk manifest matches ``fingerprint`` and ``total``; otherwise
+        the manifest is reset and the list is empty.  A manifest from an
+        *incompatible format version* raises
+        :class:`ManifestVersionError` instead of silently discarding
+        completed work.
         """
-        fingerprints = [chunk_fingerprint(chunk) for chunk in chunks]
         existing = self._read()
         self._check_version(existing)
         if (existing is not None
                 and existing.get("version") == MANIFEST_VERSION
-                and existing.get("kind") == kind
-                and existing.get("fingerprints") == fingerprints):
+                and existing.get("fingerprint") == fingerprint
+                and existing.get("total") == total):
             self._manifest = existing
-            completed: Dict[int, List[Any]] = {}
+            completed = []
             for key, values in existing.get("completed", {}).items():
-                index = int(key)
-                if 0 <= index < len(chunks):
-                    completed[index] = _decode_values(values)
+                start, stop = (int(part) for part in key.split(":"))
+                if 0 <= start <= stop <= total:
+                    completed.append((start, stop, _decode_values(values)))
             return completed
         self._manifest = {
             "version": MANIFEST_VERSION,
-            "kind": kind,
-            "num_chunks": len(chunks),
-            "fingerprints": fingerprints,
+            "fingerprint": fingerprint,
+            "total": total,
             "completed": {},
         }
         self._write()
-        return {}
+        return []
 
-    def record(self, chunk_index: int, values: List[Any]) -> None:
-        """Persist one finished chunk (atomic rewrite)."""
+    def record(self, start: int, stop: int, values: List[Any]) -> None:
+        """Persist one finished span (atomic rewrite)."""
         if self._manifest is None:
             raise RuntimeError("record() before begin()")
-        self._manifest["completed"][str(chunk_index)] = \
+        self._manifest["completed"][f"{start}:{stop}"] = \
             _encode_values(values)
         self._write()
 
@@ -171,53 +157,3 @@ class BatchCheckpoint:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
-
-
-class SpanCheckpoint(BatchCheckpoint):
-    """A resumable manifest keyed by item *ranges* instead of chunks.
-
-    Work-stealing runs cannot fingerprint per-chunk payloads — the work
-    units are decided while the run executes.  Instead the caller
-    fingerprints the whole batch once (algorithm, geometry and message
-    bytes) and completed spans are recorded as ``"start:stop"`` keys.  A
-    resume whose kind, fingerprint or item count differs starts fresh;
-    a matching one returns every recorded span, and the scheduler plans
-    new spans over whatever ranges remain.
-    """
-
-    expected_version = SPAN_MANIFEST_VERSION
-
-    def begin(self, kind: str, fingerprint: str,  # type: ignore[override]
-              total: int) -> List[tuple]:
-        existing = self._read()
-        self._check_version(existing)
-        if (existing is not None
-                and existing.get("version") == SPAN_MANIFEST_VERSION
-                and existing.get("kind") == kind
-                and existing.get("fingerprint") == fingerprint
-                and existing.get("total") == total):
-            self._manifest = existing
-            completed = []
-            for key, values in existing.get("completed", {}).items():
-                start, stop = (int(part) for part in key.split(":"))
-                if 0 <= start <= stop <= total:
-                    completed.append((start, stop, _decode_values(values)))
-            return completed
-        self._manifest = {
-            "version": SPAN_MANIFEST_VERSION,
-            "kind": kind,
-            "fingerprint": fingerprint,
-            "total": total,
-            "completed": {},
-        }
-        self._write()
-        return []
-
-    def record(self, start: int, stop: int,  # type: ignore[override]
-               values: List[Any]) -> None:
-        """Persist one finished span (atomic rewrite)."""
-        if self._manifest is None:
-            raise RuntimeError("record() before begin()")
-        self._manifest["completed"][f"{start}:{stop}"] = \
-            _encode_values(values)
-        self._write()

@@ -25,17 +25,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-#: Work-unit key in quarantine records: a chunk index (the chunk
-#: scheduler) or a ``(start, stop)`` item span (the work-stealing span
-#: scheduler).  Both are hashable and sortable within one run.
-WorkKey = Union[int, Tuple[int, int]]
+#: Work-unit key in quarantine records: the ``(start, stop)`` item span.
+WorkKey = Tuple[int, int]
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry/recovery policy for one chunked run.
+    """Retry/recovery policy for one pool run.
 
     The default policy reproduces the seed scheduler's behaviour (no
     backoff, task errors fail fast, failures raise).  ``hardened()``
@@ -123,8 +121,7 @@ class RetryPolicy:
 class QuarantinedChunk:
     """One poisoned work unit: where it failed and why, per attempt.
 
-    ``chunk_index`` is the unit's key — an ``int`` chunk index for the
-    chunk scheduler, a ``(start, stop)`` span for the span scheduler.
+    ``chunk_index`` is the unit's key: its ``(start, stop)`` span.
     """
 
     chunk_index: WorkKey
@@ -222,7 +219,7 @@ class WorkerLedger:
 
 @dataclass
 class PoolStats:
-    """What one chunked run actually did, for post-hoc auditing."""
+    """What one pool run actually did, for post-hoc auditing."""
 
     chunks: int = 0
     completed: int = 0
@@ -236,7 +233,7 @@ class PoolStats:
     checkpoint_hits: int = 0
     backoff_seconds: float = 0.0
     #: Spans split in half because idle workers outnumbered remaining
-    #: spans (work-stealing runs only; always 0 on the chunk scheduler).
+    #: spans (always 0 on serial runs).
     steals: int = 0
 
     def summary(self) -> str:

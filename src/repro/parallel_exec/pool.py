@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -79,7 +80,14 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
     on entry so a later :data:`METRICS_TASK_KIND` snapshot contains only
     *this worker's* activity — the parent merges pure deltas and never
     double-counts its own series.
+
+    SIGTERM is reset to its default: the pool owner stops workers with
+    sentinels, and if it exits mid-shutdown multiprocessing's exit hook
+    terminates the survivors with SIGTERM.  A handler inherited through
+    ``fork`` (``repro batch`` routes SIGTERM to KeyboardInterrupt) would
+    turn that into a traceback on the shared stderr.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _metrics.registry().reset()
     try:
         _worker_loop(worker_id, task_queue, result_queue)

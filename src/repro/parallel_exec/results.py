@@ -1,10 +1,11 @@
-"""Deterministic result assembly for chunked parallel work.
+"""Deterministic result assembly for span-scheduled parallel work.
 
-Workers finish chunks in whatever order the scheduler and the OS decide;
-the assembler restores the submission order so a parallel run returns
-exactly what the serial run would.  Each chunk's payload is a *list* of
-per-item results; :meth:`ResultAssembler.assemble` concatenates them by
-chunk index.
+Workers finish spans in whatever order the scheduler and the OS decide;
+the assembler slots each span's per-item results by item index, so a
+parallel run returns exactly what the serial run would.  Also home of
+the structured error taxonomy (:class:`ParallelExecError` and
+subclasses), whose ``chunk_index`` is the failing span's
+``(start, stop)`` range.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ class ChunkTimeoutError(ParallelExecError):
 
 
 class ChunkQuarantinedError(ParallelExecError):
-    """Poisoned chunks were quarantined and the caller asked for a flat
-    result — the full per-chunk report is available via
-    ``run_chunks_report``."""
+    """Poisoned spans were quarantined and the caller asked for a flat
+    result — the full per-span report is available via
+    ``run_spans_report``."""
 
     def __init__(self, chunk_indices: List[int]) -> None:
         super().__init__(
@@ -65,87 +66,20 @@ class ChunkQuarantinedError(ParallelExecError):
         self.chunk_indices = sorted(chunk_indices)
 
 
-class ResultAssembler:
-    """Collects per-chunk results and restores submission order."""
-
-    def __init__(self, num_chunks: int) -> None:
-        self._slots: List[Optional[List[Any]]] = [None] * num_chunks
-        self._filled = [False] * num_chunks
-        self._remaining = num_chunks
-        self._failed: List[int] = []
-
-    @property
-    def complete(self) -> bool:
-        return self._remaining == 0
-
-    @property
-    def failed(self) -> List[int]:
-        """Indices of chunks resolved as quarantined (no results)."""
-        return list(self._failed)
-
-    def add(self, chunk_index: int, values: List[Any]) -> None:
-        """Record one chunk's results (duplicate delivery is ignored).
-
-        A duplicate can arrive when a timed-out chunk was requeued but
-        the original worker's result was already in flight; the first
-        delivery wins, keeping results deterministic.
-        """
-        if self._filled[chunk_index]:
-            return
-        self._slots[chunk_index] = values
-        self._filled[chunk_index] = True
-        self._remaining -= 1
-
-    def add_failed(self, chunk_index: int) -> None:
-        """Resolve a chunk as quarantined: its slot stays empty, the run
-        can still complete, and :meth:`assemble` will refuse to pretend
-        the results are whole."""
-        if self._filled[chunk_index]:
-            return
-        self._filled[chunk_index] = True
-        self._failed.append(chunk_index)
-        self._remaining -= 1
-
-    def has(self, chunk_index: int) -> bool:
-        return self._filled[chunk_index]
-
-    def assemble(self) -> List[Any]:
-        """All item results, concatenated in original chunk order."""
-        if self._remaining:
-            raise ParallelExecError(
-                f"{self._remaining} chunk(s) still outstanding"
-            )
-        if self._failed:
-            raise ChunkQuarantinedError(self._failed)
-        out: List[Any] = []
-        for values in self._slots:
-            out.extend(values)  # type: ignore[arg-type]
-        return out
-
-    def partial(self) -> List[Optional[List[Any]]]:
-        """Per-chunk results in submission order; None where quarantined."""
-        if self._remaining:
-            raise ParallelExecError(
-                f"{self._remaining} chunk(s) still outstanding"
-            )
-        return list(self._slots)
-
-
 class SpanAssembler:
     """Per-*item* result slots for span-scheduled (work-stealing) runs.
 
-    The chunk assembler above keys on chunk indices, which are fixed
-    before the run starts.  Spans are not: work stealing splits them
-    while the run executes, and a checkpoint resume may cover arbitrary
-    item ranges from an earlier run.  So this assembler tracks items,
-    not work units — any set of disjoint ``[start, stop)`` ranges that
-    covers every item completes it, regardless of how the ranges were
-    cut.
+    Spans are not fixed before the run starts: work stealing splits
+    them while the run executes, and a checkpoint resume may cover
+    arbitrary item ranges from an earlier run.  So this assembler tracks
+    items, not work units — any set of disjoint ``[start, stop)`` ranges
+    that covers every item completes it, regardless of how the ranges
+    were cut.
 
     Duplicate deliveries (a requeued span whose original result arrives
     late) are ignored whole: :meth:`add` fills a range only when *none*
-    of its slots are filled yet, so the first delivery wins exactly as
-    in :class:`ResultAssembler`.
+    of its slots are filled yet, so the first delivery wins and results
+    stay deterministic.
     """
 
     def __init__(self, total: int) -> None:
@@ -197,19 +131,22 @@ class SpanAssembler:
         self._remaining -= stop - start
         self._failed.append((start, stop))
 
-    def uncovered_runs(self) -> List[Tuple[int, int]]:
-        """Maximal unresolved ranges, for resume replanning."""
+    def uncovered(self, spans: List[Tuple[int, int]]
+                  ) -> List[Tuple[int, int]]:
+        """``spans`` clipped to their unresolved items, for resume
+        replanning; a span may come back as several pieces."""
         runs: List[Tuple[int, int]] = []
-        start: Optional[int] = None
-        for i, filled in enumerate(self._filled):
-            if filled:
-                if start is not None:
-                    runs.append((start, i))
-                    start = None
-            elif start is None:
-                start = i
-        if start is not None:
-            runs.append((start, len(self._filled)))
+        for span_start, span_stop in spans:
+            start: Optional[int] = None
+            for i in range(span_start, span_stop):
+                if self._filled[i]:
+                    if start is not None:
+                        runs.append((start, i))
+                        start = None
+                elif start is None:
+                    start = i
+            if start is not None:
+                runs.append((start, span_stop))
         return runs
 
     def values(self) -> List[Optional[Any]]:

@@ -1,36 +1,47 @@
-"""Chunked scheduling: shard a work list across the pool, keep order.
+"""Span scheduling: shard a work list across the pool, keep order.
+
+Every pool run — shared-memory arenas and pickled payloads alike — is a
+set of half-open item ranges (*spans*) planned by :func:`plan_spans`
+and driven by one dispatch loop.  The transport is only the caller's
+``payload(start, stop)`` / ``collect(start, stop, reply)`` pair: a
+pickled span carries its items in the task payload, a shared-memory
+span names a range of an arena.  Idle workers steal half of the
+largest remaining span (:class:`SpanDeque`), so the tail of a ragged
+batch self-balances.
 
 The scheduler owns the recovery policy (:class:`RetryPolicy`):
 
 * A **task exception** aborts the whole run immediately by default
-  (re-running the same deterministic chunk would fail again) as
+  (re-running the same deterministic span would fail again) as
   :class:`TaskError`; with ``retry_task_errors`` it is retried on
   another worker instead, which is what makes quarantine meaningful.
-* A **worker crash** (process died mid-chunk) requeues the chunk on a
+* A **worker crash** (process died mid-span) requeues the span on a
   fresh worker after an exponential-backoff-with-jitter delay, up to
   ``max_retries`` extra attempts.
-* A **per-chunk timeout** kills the worker holding the chunk and
+* A **per-span timeout** kills the worker holding the span and
   requeues it the same way.
-* A chunk that fails on ``quarantine_threshold`` *distinct* workers is
+* A span that fails on ``quarantine_threshold`` *distinct* workers is
   **poisoned**: the input, not a worker, is at fault.  With
   ``policy.quarantine`` it is pulled from rotation and reported
   (:class:`QuarantinedChunk`) while the rest of the batch completes;
-  without it, the run raises as before.
-* A worker that fails ``breaker_threshold`` chunks consecutively trips
+  without it, the run raises.
+* A worker that fails ``breaker_threshold`` spans consecutively trips
   its **circuit breaker** and is retired/respawned even if alive.
 * Idle workers answer **heartbeat pings**; one that stays silent past
   ``heartbeat_timeout`` is declared wedged and replaced.
 
-One chunk is in flight per worker, so the timeout clock starts at
-dispatch, not at submission.  Completed chunks land in a
-:class:`~repro.parallel_exec.results.ResultAssembler`, which restores
-submission order regardless of completion order — and, when a
-``checkpoint`` manifest path is given, are persisted as they finish so
-a killed run resumes without redoing them.
+One span is in flight per worker, so the timeout clock starts at
+dispatch, not at submission.  Completed spans land in a
+:class:`~repro.parallel_exec.results.SpanAssembler`, which restores item
+order regardless of completion order — and, when a ``checkpoint``
+manifest path is given, are persisted as they finish so a killed run
+resumes without redoing them.  ``workers=1`` runs the same spans in the
+calling process with no pool.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -38,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..observability import metrics as _metrics
 from ..observability import timeline as _timeline
-from .checkpoint import BatchCheckpoint, SpanCheckpoint
+from .checkpoint import SpanCheckpoint
 from .hardening import (
     PoolStats,
     QuarantineLog,
@@ -55,13 +66,12 @@ from .pool import (
 from .results import (
     ChunkQuarantinedError,
     ChunkTimeoutError,
-    ResultAssembler,
     SpanAssembler,
     TaskError,
     WorkerCrashError,
 )
 
-#: How long one poll of the result queue blocks while chunks are in
+#: How long one poll of the result queue blocks while spans are in
 #: flight; bounds how stale a timeout/crash/heartbeat check can be.
 _POLL_INTERVAL = 0.05
 
@@ -70,7 +80,7 @@ _POLL_INTERVAL = 0.05
 #: hang the batch on account of observability).
 _METRICS_COLLECT_TIMEOUT = 5.0
 
-# Parent-side pool metrics.  Chunk latency is dispatch → result as the
+# Parent-side pool metrics.  Span latency is dispatch → result as the
 # scheduler sees it; pool_events_total mirrors PoolStats so one armed
 # run lands retries/quarantines/heartbeats in the shared registry.
 _CHUNK_LATENCY = _metrics.registry().histogram(
@@ -85,177 +95,33 @@ _STEALS = _metrics.registry().counter(
     "Spans split because idle workers outnumbered remaining spans")
 
 
-class ChunkView(Sequence):
-    """A zero-copy view of one chunk: ``items[start:stop]`` by reference.
-
-    ``chunked()`` used to materialize every chunk with
-    ``list(items[i:i+n])``, duplicating the whole batch in the parent
-    before a single byte was dispatched.  A view only holds indices into
-    the original sequence.  It still *looks* like the list it replaces:
-    equality, ``repr`` (checkpoint fingerprints hash ``repr(payload)``)
-    and pickling (``__reduce__`` sends just the slice, so a queue never
-    serializes the backing sequence) all match the eager list exactly.
-    """
-
-    __slots__ = ("_items", "_start", "_stop")
-
-    def __init__(self, items: Sequence[Any], start: int, stop: int) -> None:
-        self._items = items
-        self._start = start
-        self._stop = stop
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if step == 1:
-                return ChunkView(self._items, self._start + start,
-                                 self._start + stop)
-            return [self._items[self._start + i]
-                    for i in range(start, stop, step)]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(f"chunk index out of range: {index}")
-        return self._items[self._start + index]
-
-    def __iter__(self):
-        for i in range(self._start, self._stop):
-            yield self._items[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, tuple, ChunkView)):
-            return len(self) == len(other) \
-                and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-    def __reduce__(self):
-        # Pickle as the plain list of just this chunk's items — a naive
-        # pickle of the view would drag the entire backing sequence
-        # through the queue for every chunk.
-        return (list, (list(self),))
-
-
-def chunked(items: Sequence[Any], chunk_size: int) -> List[ChunkView]:
-    """Split ``items`` into consecutive chunks of at most ``chunk_size``.
-
-    Chunks are :class:`ChunkView` index ranges over ``items`` — no item
-    is copied until a chunk crosses a process boundary (where pickling a
-    view sends only that chunk's slice).
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be positive: {chunk_size}")
-    return [ChunkView(items, i, min(i + chunk_size, len(items)))
-            for i in range(0, len(items), chunk_size)]
-
-
-@dataclass
-class ChunkRunReport:
-    """Everything one chunked run produced, including its failures."""
-
-    #: Per-chunk results in submission order; None where quarantined.
-    chunk_results: List[Optional[List[Any]]]
-    quarantined: List[QuarantinedChunk] = field(default_factory=list)
-    stats: PoolStats = field(default_factory=PoolStats)
-
-    @property
-    def ok(self) -> bool:
-        return not self.quarantined
-
-    def flat(self) -> List[Any]:
-        """All item results concatenated; raises if any chunk failed."""
-        if self.quarantined:
-            raise ChunkQuarantinedError(
-                [q.chunk_index for q in self.quarantined])
-        out: List[Any] = []
-        for values in self.chunk_results:
-            out.extend(values)  # type: ignore[arg-type]
-        return out
-
-    def summary(self) -> str:
-        lines = [self.stats.summary()]
-        if self.quarantined:
-            lines.append(f"{len(self.quarantined)} chunk(s) quarantined:")
-            lines.extend(f"  {q}" for q in self.quarantined)
-        else:
-            lines.append("no chunks quarantined")
-        return "\n".join(lines)
-
-
-def run_chunks(kind: str, chunks: Sequence[Any], *,
+def run_chunks(kind: str, payloads: Sequence[Any], *,
                workers: int,
                timeout: Optional[float] = None,
                max_retries: int = 2,
                policy: Optional[RetryPolicy] = None,
                checkpoint: Optional[str] = None) -> List[Any]:
-    """Run every chunk payload through task ``kind``; flat ordered results.
+    """Run every payload through task ``kind``; flat ordered results.
 
-    Each chunk's task must return a list; the returned list is the
-    concatenation in chunk order.  ``workers=1`` runs everything in this
-    process (no multiprocessing, no IPC) — the serial reference the
-    parallel path is tested against.  Quarantined chunks (only possible
-    with ``policy.quarantine``) raise :class:`ChunkQuarantinedError`
-    here; use :func:`run_chunks_report` to get partial results instead.
+    The list front end of :func:`run_spans_report`: one span per
+    payload, pickled to the worker as is.  Each task must return a
+    list; the result is the concatenation in payload order.
+    ``workers=1`` runs everything in this process.  Quarantined
+    payloads (only possible with ``policy.quarantine``) raise
+    :class:`ChunkQuarantinedError`.
     """
-    report = run_chunks_report(kind, chunks, workers=workers,
-                               timeout=timeout, max_retries=max_retries,
-                               policy=policy, checkpoint=checkpoint)
-    return report.flat()
-
-
-def run_chunks_report(kind: str, chunks: Sequence[Any], *,
-                      workers: int,
-                      timeout: Optional[float] = None,
-                      max_retries: int = 2,
-                      policy: Optional[RetryPolicy] = None,
-                      checkpoint: Optional[str] = None) -> ChunkRunReport:
-    """Like :func:`run_chunks` but returns the full
-    :class:`ChunkRunReport` (per-chunk results, quarantine log, pool
-    stats) instead of a flat list."""
-    if kind not in _TASK_KINDS:
-        raise KeyError(f"unknown task kind: {kind!r}")
-    if policy is None:
-        # Legacy-compatible policy: no backoff, fail fast, and never let
-        # the quarantine threshold cut a caller's retry budget short.
-        policy = RetryPolicy(max_retries=max_retries,
-                             quarantine_threshold=max(3, max_retries + 1))
-    stats = PoolStats(chunks=len(chunks))
-    quarantine = QuarantineLog(policy.quarantine_threshold)
-    if not chunks:
-        return ChunkRunReport(chunk_results=[], stats=stats)
-
-    assembler = ResultAssembler(len(chunks))
-    manifest: Optional[BatchCheckpoint] = None
+    fingerprint = ""
     if checkpoint is not None:
-        manifest = BatchCheckpoint(checkpoint)
-        for index, values in manifest.begin(kind, chunks).items():
-            assembler.add(index, values)
-            stats.checkpoint_hits += 1
-            stats.completed += 1
-
-    if workers <= 1:
-        _run_serial(kind, chunks, policy, assembler, quarantine, stats,
-                    manifest)
-    elif not assembler.complete:
-        remaining = sum(1 for i in range(len(chunks))
-                        if not assembler.has(i))
-        pool = WorkerPool(min(workers, remaining))
-        try:
-            _drive(pool, kind, chunks, timeout, policy, assembler,
-                   quarantine, stats, manifest)
-        finally:
-            pool.shutdown()
-
-    if _metrics.ARMED:
-        _record_pool_stats(stats)
-    return ChunkRunReport(chunk_results=assembler.partial(),
-                          quarantined=quarantine.quarantined(),
-                          stats=stats)
+        fingerprint = hashlib.sha256(
+            repr((kind, list(payloads))).encode()).hexdigest()
+    report = run_spans_report(
+        kind, len(payloads), workers=workers,
+        payload=lambda start, _stop: payloads[start],
+        collect=lambda _start, _stop, values: [values],
+        spans=[(i, i + 1) for i in range(len(payloads))],
+        timeout=timeout, max_retries=max_retries, policy=policy,
+        checkpoint=checkpoint, fingerprint=fingerprint, transport="pickle")
+    return [value for values in report.flat() for value in values]
 
 
 def _record_pool_stats(stats: PoolStats) -> None:
@@ -268,7 +134,7 @@ def _record_pool_stats(stats: PoolStats) -> None:
 def _collect_worker_metrics(pool: WorkerPool) -> None:
     """Merge every live worker's metrics snapshot into the parent.
 
-    Runs after the last chunk completes and before shutdown.  Workers
+    Runs after the last span completes and before shutdown.  Workers
     reset their (fork-inherited) registry at startup, so each snapshot
     is a pure per-worker delta and the commutative merge rules make the
     parent totals independent of arrival order.  A worker that fails to
@@ -292,199 +158,13 @@ def _collect_worker_metrics(pool: WorkerPool) -> None:
             expected -= 1
 
 
-def _run_serial(kind: str, chunks: Sequence[Any], policy: RetryPolicy,
-                assembler: ResultAssembler, quarantine: QuarantineLog,
-                stats: PoolStats,
-                manifest: Optional[BatchCheckpoint]) -> None:
-    """In-process execution: same recording, no pool.
-
-    Retrying in the same process cannot change a deterministic task's
-    outcome, so a failing chunk is quarantined (or raised) immediately.
-    """
-    fn = _TASK_KINDS[kind]
-    for chunk_index, payload in enumerate(chunks):
-        if assembler.has(chunk_index):
-            continue
-        try:
-            values = fn(payload)
-        except Exception as exc:
-            stats.task_failures += 1
-            message = f"{type(exc).__name__}: {exc}"
-            if policy.quarantine:
-                quarantine.force(chunk_index, 0, message)
-                assembler.add_failed(chunk_index)
-                continue
-            raise TaskError(chunk_index, message) from exc
-        assembler.add(chunk_index, values)
-        stats.completed += 1
-        if manifest is not None:
-            manifest.record(chunk_index, values)
-
-
-def _resolve_failed(chunk_index: int, policy: RetryPolicy,
-                    assembler: ResultAssembler,
-                    quarantine: QuarantineLog, error) -> None:
-    """A chunk is out of attempts or poisoned: quarantine or raise."""
-    quarantine.force(chunk_index)
-    if not policy.quarantine:
-        raise error
-    assembler.add_failed(chunk_index)
-
-
-def _drive(pool: WorkerPool, kind: str, chunks: Sequence[Any],
-           timeout: Optional[float], policy: RetryPolicy,
-           assembler: ResultAssembler, quarantine: QuarantineLog,
-           stats: PoolStats,
-           manifest: Optional[BatchCheckpoint]) -> None:
-    rng = policy.make_rng()
-    ledger = WorkerLedger(policy.breaker_threshold)
-    labeled_lanes: set = set()
-    #: (ready_at, chunk_index, payload, attempts) awaiting a worker;
-    #: ready_at implements the backoff delay between attempts.
-    pending = [(0.0, i, payload, 1) for i, payload in enumerate(chunks)
-               if not assembler.has(i)]
-
-    def retire(worker, graceful: bool = False) -> None:
-        ledger.forget(worker.worker_id)
-        pool.replace(worker, graceful=graceful)
-
-    def requeue(chunk_index: int, payload: Any, attempts: int,
-                now: float) -> None:
-        delay = policy.delay(attempts + 1, rng)
-        stats.retries += 1
-        stats.backoff_seconds += delay
-        pending.append((now + delay, chunk_index, payload, attempts + 1))
-
-    while not assembler.complete:
-        now = time.monotonic()
-        for worker in list(pool.workers.values()):
-            if not worker.busy and not worker.alive:
-                # Died between chunks (e.g. OOM-killed while idle):
-                # replace it so the pool keeps its size.
-                retire(worker)
-
-        ready = sorted(e for e in pending if e[0] <= now)
-        for worker in pool.idle_workers():
-            if not ready:
-                break
-            entry = ready.pop(0)
-            pending.remove(entry)
-            _, chunk_index, payload, attempts = entry
-            worker.dispatch(chunk_index, kind, payload, attempts, timeout)
-
-        if policy.heartbeat_interval is not None:
-            _heartbeat(pool, policy, stats, retire, now)
-
-        message = pool.poll_result(_POLL_INTERVAL)
-        if message is not None:
-            worker_id, chunk_index, ok, payload = message
-            now = time.monotonic()
-            worker = pool.workers.get(worker_id)
-            if worker is not None:
-                worker.heard_from(now)
-            if chunk_index == PING_CHUNK_INDEX:
-                stats.pongs_received += 1
-                continue
-            if chunk_index == METRICS_CHUNK_INDEX:
-                if ok:
-                    _metrics.registry().merge(payload)
-                continue
-            task = worker.task if worker is not None else None
-            held = task is not None and task[0] == chunk_index
-            duration = (now - worker.dispatched_at
-                        if held and worker.dispatched_at is not None
-                        else None)
-            if held:
-                worker.finish()
-            if ok:
-                ledger.record_success(worker_id)
-                if duration is not None:
-                    if _metrics.ARMED:
-                        _CHUNK_LATENCY.observe(duration, kind=kind,
-                                               transport="pickle")
-                    tl = _timeline.ACTIVE
-                    if tl is not None:
-                        tid = 1 + worker_id
-                        if tid not in labeled_lanes:
-                            labeled_lanes.add(tid)
-                            tl.label_lane(tid, f"worker {worker_id}")
-                        tl.complete(f"chunk {chunk_index}",
-                                    tl.now() - duration, duration, tid=tid,
-                                    args={"kind": kind,
-                                          "attempts": task[3]})
-                if not assembler.has(chunk_index):
-                    assembler.add(chunk_index, payload)
-                    stats.completed += 1
-                    if manifest is not None:
-                        manifest.record(chunk_index, payload)
-                continue
-            # A task exception, reported by a surviving worker.
-            stats.task_failures += 1
-            if not policy.retry_task_errors:
-                raise TaskError(chunk_index, payload)
-            if not held or assembler.has(chunk_index):
-                # Stale report: the chunk was already requeued (its
-                # worker timed out) or resolved by another copy.
-                continue
-            _, _, chunk_payload, attempts = task
-            if ledger.record_failure(worker_id):
-                # Breaker trip: the worker is alive and idle (we just
-                # took its failure report), so retire it gracefully —
-                # a SIGKILL here can catch its queue feeder thread still
-                # holding the shared result queue's write lock and
-                # deadlock every other worker's put().
-                stats.workers_retired += 1
-                retire(worker, graceful=True)
-            poisoned = quarantine.record(chunk_index, worker_id, payload)
-            if poisoned or attempts > policy.max_retries:
-                _resolve_failed(chunk_index, policy, assembler, quarantine,
-                                TaskError(chunk_index, payload))
-            else:
-                requeue(chunk_index, chunk_payload, attempts, now)
-            continue
-
-        now = time.monotonic()
-        for worker in pool.busy_workers():
-            chunk_index, _, payload, attempts = worker.task
-            if assembler.has(chunk_index):
-                # Result arrived from a requeued copy.  Just free the
-                # slot: the worker finishes its stale computation and
-                # the late report is ignored (killing it mid-run could
-                # wedge the shared result queue).
-                worker.finish()
-                continue
-            crashed = not worker.alive
-            if not crashed and not worker.timed_out(now):
-                continue
-            worker_id = worker.worker_id
-            if crashed:
-                stats.crashes += 1
-                reason = "worker crashed"
-                error = WorkerCrashError(chunk_index, attempts)
-            else:
-                stats.timeouts += 1
-                reason = f"timed out after {timeout:g}s"
-                error = ChunkTimeoutError(chunk_index, timeout or 0.0,
-                                          attempts)
-            retire(worker)
-            poisoned = quarantine.record(chunk_index, worker_id, reason)
-            if poisoned or attempts > policy.max_retries:
-                _resolve_failed(chunk_index, policy, assembler, quarantine,
-                                error)
-            else:
-                requeue(chunk_index, payload, attempts, now)
-
-    if _metrics.ARMED:
-        _collect_worker_metrics(pool)
-
-
 def _heartbeat(pool: WorkerPool, policy: RetryPolicy, stats: PoolStats,
                retire, now: float) -> None:
     """Ping idle workers; replace any that stay silent too long.
 
     Busy workers are intentionally exempt: their liveness is covered by
-    the crash check and the per-chunk timeout, and a ping would sit
-    behind the running chunk in the task queue anyway.
+    the crash check and the per-span timeout, and a ping would sit
+    behind the running span in the task queue anyway.
     """
     for worker in list(pool.workers.values()):
         if worker.busy or not worker.alive:
@@ -500,30 +180,6 @@ def _heartbeat(pool: WorkerPool, policy: RetryPolicy, stats: PoolStats,
             worker.send_ping(now)
             stats.pings_sent += 1
 
-
-def run_chunked(kind: str, items: Sequence[Any], *,
-                workers: int,
-                chunk_size: int,
-                timeout: Optional[float] = None,
-                max_retries: int = 2,
-                policy: Optional[RetryPolicy] = None,
-                checkpoint: Optional[str] = None) -> List[Any]:
-    """Chunk ``items`` and run them; results stay in item order."""
-    return run_chunks(kind, chunked(items, chunk_size), workers=workers,
-                      timeout=timeout, max_retries=max_retries,
-                      policy=policy, checkpoint=checkpoint)
-
-
-# -- adaptive spans + work stealing ------------------------------------------------
-#
-# The chunk path above fixes the work units before the first dispatch;
-# on ragged batches the run then serializes behind whichever worker drew
-# the most expensive chunk.  The span path plans *coarse* item ranges
-# from a cost estimate and lets idle workers steal half of the largest
-# remaining span, so the tail of a batch self-balances.  Spans carry no
-# payload of their own — the zero-copy transport (repro.parallel_exec.shm)
-# keeps the bytes in a shared-memory arena and a span names an item
-# range inside it.
 
 #: One work unit: the half-open item range ``[start, stop)``.
 Span = Tuple[int, int]
@@ -633,10 +289,10 @@ class SpanRunReport:
     def summary(self) -> str:
         lines = [self.stats.summary()]
         if self.quarantined:
-            lines.append(f"{len(self.quarantined)} span(s) quarantined:")
+            lines.append(f"{len(self.quarantined)} chunk(s) quarantined:")
             lines.extend(f"  {q}" for q in self.quarantined)
         else:
-            lines.append("no spans quarantined")
+            lines.append("no chunks quarantined")
         return "\n".join(lines)
 
 
@@ -655,18 +311,25 @@ def run_spans_report(kind: str, total: int, *,
     """Run ``total`` items as work-stealing spans through task ``kind``.
 
     The scheduler never touches item payloads: ``payload(start, stop)``
-    builds the (small) task descriptor a worker receives for one span,
-    and ``collect(start, stop, result)`` turns a worker's reply into the
-    per-item values — for the shared-memory transport that means reading
-    the digests the worker wrote in place.  Retry, circuit-breaker,
-    quarantine, heartbeat and checkpoint semantics mirror
-    :func:`run_chunks_report`, keyed on span ranges instead of chunk
-    indices; ``fingerprint`` guards a resumed checkpoint against a
-    different batch.
+    builds the task payload a worker receives for one span, and
+    ``collect(start, stop, result)`` turns a worker's reply into the
+    per-item values.  On the pickle transport the payload carries the
+    span's items and the reply is the values; on the shared-memory
+    transport the payload names an arena range and ``collect`` reads
+    the digests the worker wrote in place.  ``transport`` only labels
+    the run's latency metrics and timeline.  A ``checkpoint`` manifest
+    needs a ``fingerprint`` naming the batch, so a resume against a
+    different batch starts fresh — and a caller whose transports differ
+    only in how bytes travel can resume a manifest across them.  On a
+    resume, the given spans are clipped to the items still unresolved.
     """
     if kind not in _TASK_KINDS:
         raise KeyError(f"unknown task kind: {kind!r}")
+    if checkpoint is not None and not fingerprint:
+        raise ValueError("a checkpoint manifest needs a batch fingerprint")
     if policy is None:
+        # Legacy-compatible policy: no backoff, fail fast, and never let
+        # the quarantine threshold cut a caller's retry budget short.
         policy = RetryPolicy(max_retries=max_retries,
                              quarantine_threshold=max(3, max_retries + 1))
     spans = list(spans)
@@ -679,14 +342,15 @@ def run_spans_report(kind: str, total: int, *,
     manifest: Optional[SpanCheckpoint] = None
     if checkpoint is not None:
         manifest = SpanCheckpoint(checkpoint)
-        for start, stop, values in manifest.begin(kind, fingerprint, total):
+        for start, stop, values in manifest.begin(fingerprint, total):
             if assembler.add(start, stop, values):
                 stats.checkpoint_hits += 1
                 stats.completed += 1
         if stats.checkpoint_hits:
-            # Replan over what is actually left; the deque's stealing
-            # re-splits these coarse gaps as workers go idle.
-            spans = assembler.uncovered_runs()
+            # Never merge across the caller's span boundaries: a
+            # run_chunks span is one payload, so a merged gap would
+            # hand the task one payload for several items.
+            spans = assembler.uncovered(spans)
             stats.chunks = stats.checkpoint_hits + len(spans)
 
     if workers <= 1:
@@ -706,6 +370,7 @@ def run_spans_report(kind: str, total: int, *,
     return SpanRunReport(results=assembler.values(),
                          quarantined=quarantine.quarantined(),
                          stats=stats)
+
 
 
 def _run_serial_spans(kind: str, spans: Sequence[Span], payload, collect,
@@ -775,6 +440,8 @@ def _drive_spans(pool: WorkerPool, kind: str, payload, collect,
         now = time.monotonic()
         for worker in list(pool.workers.values()):
             if not worker.busy and not worker.alive:
+                # Died between spans (e.g. OOM-killed while idle):
+                # replace it so the pool keeps its size.
                 retire(worker)
 
         idle = pool.idle_workers()
@@ -853,9 +520,11 @@ def _drive_spans(pool: WorkerPool, kind: str, payload, collect,
                 continue  # stale report: already requeued or resolved
             attempts = task[3]
             if ledger.record_failure(worker_id):
-                # Breaker trip — graceful retire, exactly as in _drive:
-                # a SIGKILL here could catch the worker's feeder thread
-                # holding the shared result queue's write lock.
+                # Breaker trip: the worker is alive and idle (we just
+                # took its failure report), so retire it gracefully — a
+                # SIGKILL here can catch its queue feeder thread still
+                # holding the shared result queue's write lock and
+                # deadlock every other worker's put().
                 stats.workers_retired += 1
                 retire(worker, graceful=True)
             poisoned = quarantine.record(span, worker_id, result)

@@ -1,6 +1,6 @@
 """Zero-copy shared-memory batch transport for the worker pool.
 
-The pool's original transport pickles every chunk of messages into a
+The pool's pickle transport serializes every span of messages into a
 worker's task queue and pickles every digest list back through the
 result queue — each payload byte crosses two pipes and four pickle
 passes.  Once the SoA mega-batch kernels made per-state compute cheap,
@@ -29,8 +29,8 @@ Ownership and cleanup rules (the part that keeps crash tests leak-free):
   parent's); unlink clears it, so no tracker warnings are possible.
 * **Workers only ever attach.**  Attachment happens *untracked* (the
   worker suppresses the tracker registration): a worker that is
-  SIGKILLed mid-chunk cannot leave a tracker entry behind, and the
-  parent retries the chunk on another worker against the *same* arena.
+  SIGKILLed mid-span cannot leave a tracker entry behind, and the
+  parent retries the span on another worker against the *same* arena.
 * Attachments are cached per worker process (bounded LRU) and closed on
   clean worker exit; a dead worker's mapping dies with its address
   space.

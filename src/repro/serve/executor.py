@@ -267,8 +267,8 @@ class PooledExecutor:
                 _shm.required_size(sizes, digest_size))
             arena.pack([items[i][0] for i in order], digest_size)
         try:
-            return self._drive(algorithm, length, items, groups, arena,
-                               digest_size)
+            return self._run_groups(algorithm, length, items, groups,
+                                    arena, digest_size)
         finally:
             if arena is not None:
                 _shm.arena_pool().release(arena)
@@ -301,9 +301,9 @@ class PooledExecutor:
         if _metrics.ARMED:
             _RESTARTS.inc(reason=reason)
 
-    def _drive(self, algorithm: str, length: int, items: Sequence[Item],
-               planned: List[List[int]], arena,
-               digest_size: int) -> List[ItemResult]:
+    def _run_groups(self, algorithm: str, length: int,
+                    items: Sequence[Item], planned: List[List[int]],
+                    arena, digest_size: int) -> List[ItemResult]:
         pool = self._pool
         results: List[Optional[ItemResult]] = [None] * len(items)
         pending: deque = deque()

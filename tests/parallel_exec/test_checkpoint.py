@@ -4,7 +4,7 @@ real kill-and-resume of a batch run.
 The kill test launches ``repro batch --resume`` in its own process
 group, SIGKILLs the whole group once the manifest shows progress, and
 then resumes in-process — the resumed digests must be byte-identical to
-``hashlib`` in the original message order, with at least one chunk
+``hashlib`` in the original message order, with at least one span
 served from the manifest instead of recomputed.
 """
 
@@ -19,108 +19,117 @@ import time
 import pytest
 
 from repro.parallel_exec import (
-    BatchCheckpoint,
     ManifestVersionError,
-    chunk_fingerprint,
+    SpanCheckpoint,
     register_task_kind,
     run_chunks,
-    run_chunks_report,
+    run_spans_report,
+    shm,
 )
-from repro.parallel_exec.checkpoint import SpanCheckpoint
-from repro.programs import run_many, run_many_report
+from repro.programs import batch_driver, run_many, run_many_report
+
+#: Payloads the in-process triple task saw, in call order.
+CALLS = []
 
 
 def _triple(payload):
+    CALLS.append(payload)
     return [3 * item for item in payload]
 
 
+def _double(payload):
+    return [2 * item for item in payload]
+
+
 register_task_kind("test.cp_triple", _triple)
+register_task_kind("test.cp_double", _double)
+
+
+def _chunk_manifest(path, completed=None):
+    """A version-1 chunk-keyed manifest, as older builds wrote them."""
+    with open(path, "w") as handle:
+        json.dump({"version": 1, "kind": "test.cp_triple",
+                   "num_chunks": 1, "fingerprints": ["f" * 64],
+                   "completed": completed or {}}, handle)
 
 
 class TestManifest:
     def test_begin_creates_and_resume_returns_completed(self, tmp_path):
         path = str(tmp_path / "manifest.json")
-        chunks = [[1, 2], [3]]
-        manifest = BatchCheckpoint(path)
-        assert manifest.begin("test.cp_triple", chunks) == {}
-        manifest.record(1, [b"\x00\xff", 9])
+        manifest = SpanCheckpoint(path)
+        assert manifest.begin("fp", 3) == []
+        manifest.record(1, 3, [b"\x00\xff", [b"\x01", 2]])
 
-        resumed = BatchCheckpoint(path)
-        completed = resumed.begin("test.cp_triple", chunks)
-        assert completed == {1: [b"\x00\xff", 9]}  # bytes survive exactly
+        resumed = SpanCheckpoint(path)
+        # bytes, lists of bytes and JSON values survive exactly
+        assert resumed.begin("fp", 3) == [(1, 3, [b"\x00\xff", [b"\x01", 2]])]
 
     def test_fingerprint_mismatch_starts_fresh(self, tmp_path):
         path = str(tmp_path / "manifest.json")
-        manifest = BatchCheckpoint(path)
-        manifest.begin("test.cp_triple", [[1, 2]])
-        manifest.record(0, [3, 6])
+        manifest = SpanCheckpoint(path)
+        manifest.begin("fp-a", 2)
+        manifest.record(0, 2, [3, 6])
 
-        other = BatchCheckpoint(path)
-        assert other.begin("test.cp_triple", [[9, 9]]) == {}
+        other = SpanCheckpoint(path)
+        assert other.begin("fp-b", 2) == []
         # ... and the stale completion was dropped from disk.
-        fresh = BatchCheckpoint(path)
-        assert fresh.begin("test.cp_triple", [[9, 9]]) == {}
+        fresh = SpanCheckpoint(path)
+        assert fresh.begin("fp-a", 2) == []
 
     def test_kind_mismatch_starts_fresh(self, tmp_path):
         path = str(tmp_path / "manifest.json")
-        manifest = BatchCheckpoint(path)
-        manifest.begin("test.cp_triple", [[1]])
-        manifest.record(0, [3])
-        assert BatchCheckpoint(path).begin("other.kind", [[1]]) == {}
+        assert run_chunks("test.cp_triple", [[1]], workers=1,
+                          checkpoint=path) == [3]
+        assert run_chunks("test.cp_double", [[1]], workers=1,
+                          checkpoint=path) == [2]
 
     def test_corrupt_manifest_starts_fresh(self, tmp_path):
         path = str(tmp_path / "manifest.json")
         with open(path, "w") as handle:
             handle.write("{ torn write")
-        assert BatchCheckpoint(path).begin("test.cp_triple", [[1]]) == {}
+        assert SpanCheckpoint(path).begin("fp", 1) == []
 
     def test_record_before_begin_rejected(self, tmp_path):
         with pytest.raises(RuntimeError, match="begin"):
-            BatchCheckpoint(str(tmp_path / "m.json")).record(0, [])
+            SpanCheckpoint(str(tmp_path / "m.json")).record(0, 1, [])
 
     def test_fingerprint_is_content_sensitive(self):
-        assert chunk_fingerprint([1, 2]) != chunk_fingerprint([2, 1])
-        assert chunk_fingerprint([1, 2]) == chunk_fingerprint([1, 2])
+        def fingerprint(messages, engine="auto"):
+            return batch_driver._batch_fingerprint(
+                "sha3_256", 32, (64, 8, 30), engine, messages)
+
+        assert fingerprint([b"ab", b"c"]) != fingerprint([b"a", b"bc"])
+        assert fingerprint([b"ab", b"c"]) != fingerprint([b"ab", b"c"],
+                                                          "reference")
+        assert fingerprint([b"ab", b"c"]) == fingerprint([b"ab", b"c"])
 
 
 class TestManifestVersion:
     """Version mismatches refuse to run rather than discard real work."""
 
-    def test_span_manifest_rejected_by_chunk_run(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
-        spans = SpanCheckpoint(path)
-        spans.begin("test.cp_triple", "fp", 4)
-        spans.record(0, 2, [3, 6])
-
-        with pytest.raises(ManifestVersionError) as excinfo:
-            BatchCheckpoint(path).begin("test.cp_triple", [[1, 2]])
-        message = str(excinfo.value)
-        assert "span-keyed" in message
-        assert "\n" not in message  # one-line CLI diagnostic
-
     def test_chunk_manifest_rejected_by_span_run(self, tmp_path):
         path = str(tmp_path / "manifest.json")
-        BatchCheckpoint(path).begin("test.cp_triple", [[1, 2]])
-        with pytest.raises(ManifestVersionError, match="chunk-keyed"):
-            SpanCheckpoint(path).begin("test.cp_triple", "fp", 4)
+        _chunk_manifest(path)
+        with pytest.raises(ManifestVersionError,
+                           match="chunk-keyed") as excinfo:
+            SpanCheckpoint(path).begin("fp", 4)
+        assert "\n" not in str(excinfo.value)  # one-line CLI diagnostic
 
     def test_unknown_future_version_rejected(self, tmp_path):
         path = str(tmp_path / "manifest.json")
         with open(path, "w") as handle:
             json.dump({"version": 99, "kind": "test.cp_triple"}, handle)
         with pytest.raises(ManifestVersionError, match="version 99"):
-            BatchCheckpoint(path).begin("test.cp_triple", [[1]])
+            SpanCheckpoint(path).begin("fp", 1)
 
     def test_mismatch_leaves_manifest_untouched(self, tmp_path):
         path = str(tmp_path / "manifest.json")
-        spans = SpanCheckpoint(path)
-        spans.begin("test.cp_triple", "fp", 4)
-        spans.record(0, 2, [3, 6])
+        _chunk_manifest(path, completed={"0": [{"j": 3}]})
         with open(path) as handle:
             before = handle.read()
 
         with pytest.raises(ManifestVersionError):
-            BatchCheckpoint(path).begin("test.cp_triple", [[1]])
+            run_chunks("test.cp_triple", [[1]], workers=1, checkpoint=path)
         with open(path) as handle:
             assert handle.read() == before  # completed work preserved
 
@@ -130,7 +139,7 @@ class TestManifestVersion:
         path = str(tmp_path / "manifest.json")
         with open(path, "w") as handle:
             json.dump({"kind": "test.cp_triple"}, handle)
-        assert BatchCheckpoint(path).begin("test.cp_triple", [[1]]) == {}
+        assert SpanCheckpoint(path).begin("fp", 1) == []
 
 
 class TestSchedulerCheckpointing:
@@ -143,24 +152,75 @@ class TestSchedulerCheckpointing:
             saved = json.load(handle)
         assert len(saved["completed"]) == 3
 
-        report = run_chunks_report("test.cp_triple", chunks, workers=1,
-                                   checkpoint=path)
-        assert report.flat() == [3, 6, 9]
-        assert report.stats.checkpoint_hits == 3  # nothing recomputed
+        del CALLS[:]
+        assert run_chunks("test.cp_triple", chunks, workers=1,
+                          checkpoint=path) == [3, 6, 9]
+        assert CALLS == []  # nothing recomputed
+
+    @staticmethod
+    def _leave_only_first_payload(path, chunks):
+        """A manifest under run_chunks' own fingerprint in which only
+        payload 0 finished, with a deliberately wrong value."""
+        assert run_chunks("test.cp_triple", chunks, workers=1,
+                          checkpoint=path) == [3 * c[0] for c in chunks]
+        with open(path) as handle:
+            saved = json.load(handle)
+        saved["completed"] = {"0:1": [{"l": [{"j": 999}]}]}
+        with open(path, "w") as handle:
+            json.dump(saved, handle)
 
     def test_parallel_resume_skips_completed_chunks(self, tmp_path):
         path = str(tmp_path / "manifest.json")
         chunks = [[i] for i in range(6)]
-        manifest = BatchCheckpoint(path)
-        manifest.begin("test.cp_triple", chunks)
-        manifest.record(0, [999])  # pretend chunk 0 already finished
+        self._leave_only_first_payload(path, chunks)
 
-        report = run_chunks_report("test.cp_triple", chunks, workers=2,
-                                   checkpoint=path)
-        # The checkpointed (deliberately wrong) value is trusted, which
-        # proves chunk 0 was not re-executed.
+        # The checkpointed (wrong) value is trusted, which proves
+        # payload 0 was not re-executed; the other five ran on the pool.
+        assert run_chunks("test.cp_triple", chunks, workers=2,
+                          checkpoint=path) == [999, 3, 6, 9, 12, 15]
+        with open(path) as handle:
+            assert len(json.load(handle)["completed"]) == 6
+
+    def test_serial_resume_skips_completed_chunks(self, tmp_path):
+        path = str(tmp_path / "manifest.json")
+        chunks = [[i] for i in range(6)]
+        self._leave_only_first_payload(path, chunks)
+
+        del CALLS[:]
+        assert run_chunks("test.cp_triple", chunks, workers=1,
+                          checkpoint=path) == [999, 3, 6, 9, 12, 15]
+        assert CALLS == chunks[1:]  # one call per remaining payload
+
+    def test_span_resume_keeps_planned_boundaries(self, tmp_path):
+        path = str(tmp_path / "manifest.json")
+        chunks = [[i] for i in range(6)]
+        manifest = SpanCheckpoint(path)
+        manifest.begin("fp", 6)
+        manifest.record(0, 1, [999])  # pretend item 0 already finished
+
+        planned = []
+
+        def payload(start, stop):
+            planned.append((start, stop))
+            return [i for c in chunks[start:stop] for i in c]
+
+        report = run_spans_report(
+            "test.cp_triple", 6, workers=1, payload=payload,
+            collect=lambda _start, _stop, values: values,
+            spans=[(0, 3), (3, 6)], checkpoint=path, fingerprint="fp",
+            transport="pickle")
         assert report.flat() == [999, 3, 6, 9, 12, 15]
         assert report.stats.checkpoint_hits == 1
+        # The resumed run clips (0, 3) instead of merging it with (3, 6).
+        assert planned == [(1, 3), (3, 6)]
+
+    def test_checkpoint_without_fingerprint_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="fingerprint"):
+            run_spans_report(
+                "test.cp_triple", 1, workers=1,
+                payload=lambda start, stop: [1],
+                collect=lambda _start, _stop, values: values,
+                spans=[(0, 1)], checkpoint=str(tmp_path / "m.json"))
 
     def test_run_many_checkpoint_round_trip(self, tmp_path):
         path = str(tmp_path / "manifest.json")
@@ -173,13 +233,41 @@ class TestSchedulerCheckpointing:
         assert outcome.digests == expected
         assert outcome.stats.checkpoint_hits == 4
 
+    @pytest.mark.skipif(not shm.HAVE_SHM,
+                        reason="no multiprocessing.shared_memory")
+    @pytest.mark.parametrize("first, second",
+                             [("pickle", "shm"), ("shm", "pickle")])
+    def test_manifest_resumes_across_transports(self, tmp_path, first,
+                                                second):
+        path = str(tmp_path / "manifest.json")
+        messages = [bytes([n % 251]) * (13 + n % 89) for n in range(48)]
+        expected = [hashlib.sha3_256(m).digest() for m in messages]
+        written = run_many_report(messages, workers=2, engine="reference",
+                                  transport=first, checkpoint=path)
+        assert written.digests == expected
+        with open(path) as handle:
+            recorded = len(json.load(handle)["completed"])
+
+        resumed = run_many_report(messages, workers=2, engine="reference",
+                                  transport=second, checkpoint=path)
+        assert resumed.digests == expected
+        # Every span came from the manifest; none was hashed again.
+        assert resumed.stats.checkpoint_hits == recorded
+        assert resumed.stats.completed == recorded
+
 
 class TestKillAndResume:
     COUNT, SIZE, SEED, CHUNK = 96, 48, 11, 8
+    #: The SIGTERM test must signal while spans are still running.  At
+    #: COUNT the batch finishes ~60 ms after the manifest shows two
+    #: spans on a 2-vCPU VM, so a stall of the polling test on a busy
+    #: host let the signal land after the run (exit -15); twenty times
+    #: the spans leave about a second.
+    TERM_COUNT = 20 * COUNT
 
-    def _batch_argv(self, manifest):
+    def _batch_argv(self, manifest, count=COUNT):
         return [sys.executable, "-m", "repro", "batch",
-                "--count", str(self.COUNT), "--size", str(self.SIZE),
+                "--count", str(count), "--size", str(self.SIZE),
                 "--seed", str(self.SEED), "--chunk-size", str(self.CHUNK),
                 "--workers", "2", "--verify", "--resume", manifest]
 
@@ -223,7 +311,7 @@ class TestKillAndResume:
         assert completed_before_resume >= 1
 
         # Resume in-process with the identical batch (same seed/shape →
-        # same chunk fingerprints as the CLI run).
+        # same batch fingerprint as the CLI run).
         import random
         rng = random.Random(self.SEED)
         messages = [rng.randbytes(self.SIZE) for _ in range(self.COUNT)]
@@ -246,8 +334,9 @@ class TestKillAndResume:
             filter(None, [os.path.join(os.path.dirname(__file__),
                                        "..", "..", "src"),
                           env.get("PYTHONPATH", "")]))
-        child = subprocess.Popen(self._batch_argv(manifest), env=env,
-                                 stdout=subprocess.DEVNULL,
+        child = subprocess.Popen(self._batch_argv(manifest,
+                                                  self.TERM_COUNT),
+                                 env=env, stdout=subprocess.DEVNULL,
                                  stderr=subprocess.PIPE, text=True,
                                  start_new_session=True)
         interrupted = False
@@ -286,7 +375,8 @@ class TestKillAndResume:
 
         import random
         rng = random.Random(self.SEED)
-        messages = [rng.randbytes(self.SIZE) for _ in range(self.COUNT)]
+        messages = [rng.randbytes(self.SIZE)
+                    for _ in range(self.TERM_COUNT)]
         outcome = run_many_report(messages, workers=2,
                                   chunk_size=self.CHUNK,
                                   checkpoint=manifest)

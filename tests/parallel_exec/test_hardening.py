@@ -7,9 +7,12 @@ failing task kinds so every assertion is about *what happened* (stats,
 quarantine records, result alignment) rather than how fast.
 """
 
+import hashlib
 import json
+import math
 import os
 import random
+import signal
 import time
 
 import pytest
@@ -17,16 +20,19 @@ import pytest
 from repro.parallel_exec import (
     ChunkQuarantinedError,
     RetryPolicy,
+    SpanAssembler,
+    SpanRunReport,
     register_task_kind,
     run_chunks,
-    run_chunks_report,
+    run_spans_report,
 )
 from repro.parallel_exec.hardening import (
     PoolStats,
+    QuarantinedChunk,
     QuarantineLog,
     WorkerLedger,
 )
-from repro.parallel_exec.results import ResultAssembler
+from repro.parallel_exec import shm
 from repro.programs import run_many_report
 
 
@@ -63,6 +69,14 @@ register_task_kind("test.h_ok", _ok)
 register_task_kind("test.h_flaky", _flaky)
 register_task_kind("test.h_mixed", _mixed)
 register_task_kind("test.h_sleep", _sleep_chunk)
+
+
+def _run_report(kind, chunks, **kwargs):
+    """One span per chunk payload; each span's value is the task's list."""
+    return run_spans_report(
+        kind, len(chunks), payload=lambda start, _stop: chunks[start],
+        collect=lambda _start, _stop, values: [values],
+        spans=[(i, i + 1) for i in range(len(chunks))], **kwargs)
 
 
 class TestRetryPolicy:
@@ -130,13 +144,16 @@ class TestLedgersAndLogs:
         assert "timeout" in str(chunk)
 
     def test_assembler_failed_slots(self):
-        assembler = ResultAssembler(2)
-        assembler.add(0, ["a"])
-        assembler.add_failed(1)
+        assembler = SpanAssembler(2)
+        assembler.add(0, 1, ["a"])
+        assembler.add_failed(1, 2)
         assert assembler.complete
-        assert assembler.partial() == [["a"], None]
-        with pytest.raises(ChunkQuarantinedError, match=r"\[1\]"):
-            assembler.assemble()
+        assert assembler.values() == ["a", None]
+        report = SpanRunReport(
+            results=assembler.values(),
+            quarantined=[QuarantinedChunk((1, 2), (0,), ("poisoned",))])
+        with pytest.raises(ChunkQuarantinedError, match=r"\(1, 2\)"):
+            report.flat()
 
     def test_stats_summary_mentions_everything(self):
         stats = PoolStats(chunks=4, completed=3, retries=2, crashes=1,
@@ -154,26 +171,26 @@ class TestQuarantineScheduling:
 
     def test_poisoned_chunk_quarantined_not_retried_forever(self):
         chunks = [["bad"], [1, 2], [3, 4]]
-        report = run_chunks_report("test.h_mixed", chunks, workers=2,
+        report = _run_report("test.h_mixed", chunks, workers=2,
                                    policy=self.POLICY)
-        assert report.chunk_results == [None, [1, 2], [3, 4]]
+        assert report.results == [None, [1, 2], [3, 4]]
         [chunk] = report.quarantined
-        assert chunk.chunk_index == 0
+        assert chunk.chunk_index == (0, 1)
         assert len(set(chunk.workers)) >= self.POLICY.quarantine_threshold
         assert all("bad chunk" in reason for reason in chunk.reasons)
         with pytest.raises(ChunkQuarantinedError):
             report.flat()
 
     def test_run_chunks_raises_on_quarantine(self):
-        with pytest.raises(ChunkQuarantinedError, match=r"\[0\]"):
+        with pytest.raises(ChunkQuarantinedError, match=r"\(0, 1\)"):
             run_chunks("test.h_mixed", [["bad"], [1]], workers=2,
                        policy=self.POLICY)
 
     def test_serial_quarantine_completes_batch(self):
-        report = run_chunks_report("test.h_mixed", [[1], ["bad"], [2]],
+        report = _run_report("test.h_mixed", [[1], ["bad"], [2]],
                                    workers=1, policy=self.POLICY)
-        assert report.chunk_results == [[1], None, [2]]
-        assert [q.chunk_index for q in report.quarantined] == [1]
+        assert report.results == [[1], None, [2]]
+        assert [q.chunk_index for q in report.quarantined] == [(1, 2)]
         assert report.stats.task_failures == 1
 
     def test_breaker_retires_repeat_offenders(self):
@@ -181,7 +198,7 @@ class TestQuarantineScheduling:
                              quarantine=True, quarantine_threshold=2,
                              breaker_threshold=2, backoff_base=0.0)
         chunks = [["bad"], ["bad"], ["bad"], ["bad"]]
-        report = run_chunks_report("test.h_poison", chunks, workers=2,
+        report = _run_report("test.h_poison", chunks, workers=2,
                                    policy=policy)
         assert len(report.quarantined) == 4
         # Every result was a failure, so some worker must have hit two
@@ -193,9 +210,9 @@ class TestQuarantineScheduling:
         flag = str(tmp_path / "flaky")
         policy = RetryPolicy(max_retries=3, retry_task_errors=True,
                              backoff_base=0.0)
-        report = run_chunks_report("test.h_flaky", [(flag, [1, 2])],
+        report = _run_report("test.h_flaky", [(flag, [1, 2])],
                                    workers=2, policy=policy)
-        assert report.chunk_results == [[1, 2]]
+        assert report.results == [[1, 2]]
         assert report.ok
         assert report.stats.task_failures == 1
         assert report.stats.retries == 1
@@ -205,10 +222,10 @@ class TestQuarantineScheduling:
         policy = RetryPolicy(max_retries=3, retry_task_errors=True,
                              backoff_base=0.05, jitter=0.5, seed=1)
         start = time.monotonic()
-        report = run_chunks_report("test.h_flaky", [(flag, [7])],
+        report = _run_report("test.h_flaky", [(flag, [7])],
                                    workers=2, policy=policy)
         elapsed = time.monotonic() - start
-        assert report.chunk_results == [[7]]
+        assert report.results == [[7]]
         assert report.stats.backoff_seconds > 0
         assert elapsed >= report.stats.backoff_seconds
 
@@ -225,7 +242,7 @@ class TestQuarantineScheduling:
             # Two workers may interleave the failures, but the three
             # jitter draws come off one seeded rng and all retries are
             # attempt #1, so the backoff *sum* is order-independent.
-            report = run_chunks_report("test.h_flaky", chunks,
+            report = _run_report("test.h_flaky", chunks,
                                        workers=2, policy=policy)
             assert report.ok
             assert report.stats.retries == 3  # one retry per chunk
@@ -244,10 +261,11 @@ class TestQuarantineScheduling:
         policy = RetryPolicy(max_retries=1, retry_task_errors=True,
                              quarantine=True, quarantine_threshold=2,
                              backoff_base=0.0)
-        report = run_chunks_report("test.h_poison", [["x"], None],
+        report = _run_report("test.h_poison", [["x"], None],
                                    workers=2, policy=policy)
-        assert report.chunk_results == [None, None]
-        assert {q.chunk_index for q in report.quarantined} == {0, 1}
+        assert report.results == [None, None]
+        assert {q.chunk_index for q in report.quarantined} \
+            == {(0, 1), (1, 2)}
 
 
 class TestHeartbeat:
@@ -257,18 +275,18 @@ class TestHeartbeat:
         # Two workers, two chunks: one sleeps while the other's worker
         # sits idle long enough to be pinged.
         chunks = [[0.6], [0.0]]
-        report = run_chunks_report("test.h_sleep", chunks, workers=2,
+        report = _run_report("test.h_sleep", chunks, workers=2,
                                    policy=policy)
-        assert report.chunk_results == [[0.6], [0.0]]
+        assert report.results == [[0.6], [0.0]]
         assert report.stats.pings_sent >= 1
         assert report.stats.pongs_received >= 1
 
     def test_healthy_run_retires_no_workers(self):
         policy = RetryPolicy(heartbeat_interval=0.05,
                              heartbeat_timeout=10.0)
-        report = run_chunks_report("test.h_ok", [[1], [2], [3]], workers=2,
+        report = _run_report("test.h_ok", [[1], [2], [3]], workers=2,
                                    policy=policy)
-        assert report.flat() == [2, 4, 6]
+        assert report.flat() == [[2], [4], [6]]
         assert report.stats.workers_retired == 0
 
 
@@ -309,3 +327,136 @@ class TestBatchFrontEnd:
         assert outcome.digests[:4] == [hashlib.sha3_256(b"a" * 10).digest()] * 4
         assert outcome.digests[8:] == [hashlib.sha3_256(b"c" * 10).digest()] * 4
         assert "quarantined" in outcome.summary()
+
+
+TRANSPORTS = [
+    "pickle",
+    pytest.param("shm", marks=pytest.mark.skipif(
+        not shm.HAVE_SHM, reason="no multiprocessing.shared_memory")),
+]
+
+#: Messages of this length trigger the injected fault; every other
+#: message hashes normally.
+MARKER = 99
+
+
+def _fault_batch():
+    return [b"a" * 10] * 4 + [b"m" * MARKER] * 4 + [b"c" * 10] * 4
+
+
+def _inject(monkeypatch, fault):
+    """Route the hashing body of *both* transports through ``fault``.
+
+    Workers fork after the patch, so they inherit it.  ``fault`` runs
+    only for spans holding a marker message.
+    """
+    from repro.programs import batch_driver
+
+    original = batch_driver._hash_messages
+
+    def sabotaged(algorithm, length, arch, engine, messages):
+        if any(len(m) == MARKER for m in messages):
+            fault()
+        return original(algorithm, length, arch, engine, messages)
+
+    monkeypatch.setattr(batch_driver, "_hash_messages", sabotaged)
+
+
+def _once(flag, action):
+    def fault():
+        if not os.path.exists(flag):
+            with open(flag, "w"):
+                pass
+            action()
+    return fault
+
+
+def _raise():
+    raise ValueError("poisoned span")
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestFaultLifecycleMatrix:
+    """The run_many-level recovery semantics, once per transport."""
+
+    def _run(self, transport, **kwargs):
+        return run_many_report(_fault_batch(), workers=2, chunk_size=4,
+                               engine="reference", transport=transport,
+                               **kwargs)
+
+    def _expected(self):
+        return [hashlib.sha3_256(m).digest() for m in _fault_batch()]
+
+    def test_sigkill_mid_span_is_retried(self, transport, tmp_path,
+                                         monkeypatch):
+        flag = str(tmp_path / "killed")
+        _inject(monkeypatch, _once(
+            flag, lambda: os.kill(os.getpid(), signal.SIGKILL)))
+        outcome = self._run(transport)
+        assert os.path.exists(flag)  # the first attempt really died
+        assert outcome.ok
+        assert outcome.stats.crashes >= 1
+        assert outcome.digests == self._expected()
+
+    def test_per_span_timeout_is_retried(self, transport, tmp_path,
+                                         monkeypatch):
+        flag = str(tmp_path / "hung")
+        _inject(monkeypatch, _once(flag, lambda: time.sleep(60)))
+        start = time.monotonic()
+        outcome = self._run(transport, timeout=2.0)
+        assert time.monotonic() - start < 30  # killed, not waited out
+        assert outcome.ok
+        assert outcome.stats.timeouts >= 1
+        assert outcome.digests == self._expected()
+
+    def test_quarantine_keeps_partial_results(self, transport,
+                                              monkeypatch):
+        _inject(monkeypatch, _raise)
+        policy = RetryPolicy(max_retries=2, retry_task_errors=True,
+                             quarantine=True, quarantine_threshold=2,
+                             backoff_base=0.0)
+        outcome = self._run(transport, policy=policy)
+        expected = self._expected()
+        assert not outcome.ok
+        assert outcome.digests[4:8] == [None] * 4
+        assert outcome.digests[:4] == expected[:4]
+        assert outcome.digests[8:] == expected[8:]
+        poisoned = sorted(i for q in outcome.quarantined
+                          for i in range(*q.chunk_index))
+        assert poisoned == [4, 5, 6, 7]
+        with pytest.raises(ChunkQuarantinedError):
+            outcome.flat()
+
+    def test_breaker_trips_on_repeat_failures(self, transport,
+                                              monkeypatch):
+        _inject(monkeypatch, _raise)
+        policy = RetryPolicy(max_retries=10, retry_task_errors=True,
+                             quarantine=True, quarantine_threshold=2,
+                             breaker_threshold=2, backoff_base=0.0)
+        outcome = run_many_report([b"m" * MARKER] * 4, workers=2,
+                                  chunk_size=1, engine="reference",
+                                  transport=transport, policy=policy)
+        assert outcome.digests == [None] * 4
+        assert len(outcome.quarantined) == 4
+        assert outcome.stats.workers_retired >= 1
+
+    def test_checkpoint_resume(self, transport, tmp_path):
+        path = str(tmp_path / "manifest.json")
+        first = self._run(transport, checkpoint=path)
+        assert first.digests == self._expected()
+        with open(path) as handle:
+            recorded = len(json.load(handle)["completed"])
+        second = self._run(transport, checkpoint=path)
+        assert second.digests == self._expected()
+        assert second.stats.checkpoint_hits == recorded
+        assert second.stats.completed == recorded  # nothing recomputed
+
+    def test_chunk_size_sets_the_initial_spans(self, transport):
+        # A given chunk_size used to be ignored whenever the transport
+        # resolved to shm.
+        messages = [bytes([n % 251]) * 4096 for n in range(48)]
+        outcome = run_many_report(messages, workers=2, chunk_size=4,
+                                  engine="reference", transport=transport)
+        assert outcome.stats.chunks >= math.ceil(len(messages) / 4)
+        assert outcome.digests == [hashlib.sha3_256(m).digest()
+                                   for m in messages]

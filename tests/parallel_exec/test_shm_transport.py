@@ -16,7 +16,6 @@ this module's import are visible in workers.
 import glob
 import hashlib
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -26,10 +25,8 @@ import time
 import pytest
 
 from repro.parallel_exec import (
-    ChunkView,
     SpanAssembler,
     SpanDeque,
-    chunked,
     plan_spans,
     register_task_kind,
     run_spans_report,
@@ -142,31 +139,6 @@ class TestTransportSelection:
             shm.choose_transport("carrier-pigeon", 0, 1)
 
 
-class TestChunkViews:
-    """Satellite: ``chunked()`` must not copy payload slices."""
-
-    def test_views_share_the_backing_list(self):
-        items = [b"a", b"b", b"c", b"d"]
-        views = chunked(items, 3)
-        assert all(isinstance(v, ChunkView) for v in views)
-        items[0] = b"mutated"
-        assert views[0][0] == b"mutated"  # a view, not a copy
-
-    def test_pickling_a_view_carries_only_its_slice(self):
-        big = [os.urandom(512) for _ in range(200)]
-        view = chunked(big, 4)[0]
-        wire = pickle.dumps(view)
-        assert len(wire) < len(pickle.dumps(big)) / 10
-        assert pickle.loads(wire) == big[:4]  # lands as a plain list
-
-    def test_views_compare_like_lists(self):
-        view = chunked([1, 2, 3, 4, 5], 2)[1]
-        assert view == [3, 4]
-        assert view == (3, 4)
-        assert list(view) == [3, 4]
-        assert repr(view) == repr([3, 4])
-
-
 class TestSpanPlanning:
     def test_plan_covers_contiguously_on_lane_boundaries(self):
         sizes = [11 + n % 67 for n in range(1000)]
@@ -206,7 +178,10 @@ class TestSpanAssembler:
         assembler = SpanAssembler(6)
         assert assembler.add(4, 6, ["e", "f"])
         assert assembler.add(0, 1, ["a"])
-        assert assembler.uncovered_runs() == [(1, 4)]
+        assert assembler.uncovered([(0, 6)]) == [(1, 4)]
+        # Resume replanning never merges across the given boundaries.
+        assert assembler.uncovered([(0, 2), (2, 3), (3, 6)]) == \
+            [(1, 2), (2, 3), (3, 4)]
         assert not assembler.complete
         assert assembler.add(1, 4, ["b", "c", "d"])
         assert assembler.values() == ["a", "b", "c", "d", "e", "f"]

@@ -4,7 +4,7 @@ The pool's scaling claims only hold on multicore machines, so nothing
 here asserts wall-clock speedups — these tests pin the *semantics*: the
 parallel path returns exactly what the serial path returns (in order),
 task exceptions fail fast, and crashed/hung workers are replaced with
-their chunks retried.
+their spans retried.
 
 Crash/timeout tasks signal attempt state through flag files because the
 task runs in a child process; ``fork`` inherits the registry, so kinds
@@ -21,13 +21,11 @@ from repro.parallel_exec import (
     ChunkTimeoutError,
     TaskError,
     WorkerCrashError,
-    chunked,
     register_task_kind,
-    run_chunked,
     run_chunks,
 )
-from repro.parallel_exec.results import ParallelExecError, ResultAssembler
-from repro.programs import batch_sha3_256, run_many
+from repro.parallel_exec.results import ParallelExecError, SpanAssembler
+from repro.programs import batch_sha3_256, run_many, run_many_report
 
 
 def _echo(payload):
@@ -70,41 +68,51 @@ register_task_kind("test.hang", _hang_forever)
 register_task_kind("test.big_result", _big_result)
 
 
+def _chunks(items, size):
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
 class TestChunking:
     def test_chunked_splits_and_preserves_order(self):
-        assert chunked(list(range(7)), 3) == [[0, 1, 2], [3, 4, 5], [6]]
-        assert chunked([], 3) == []
+        # A chunk size cuts the batch into consecutive initial spans.
+        messages = [bytes([i]) * 9 for i in range(7)]
+        outcome = run_many_report(messages, workers=1, chunk_size=3)
+        assert outcome.stats.chunks == 3
+        assert outcome.digests == [hashlib.sha3_256(m).digest()
+                                   for m in messages]
+        assert run_many_report([], workers=1, chunk_size=3).stats.chunks \
+            == 0
 
     def test_chunked_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            chunked([1], 0)
+        with pytest.raises(ValueError, match="chunk size"):
+            run_many([b"x"], chunk_size=0)
 
     def test_assembler_requires_all_chunks(self):
-        assembler = ResultAssembler(2)
-        assembler.add(1, ["b"])
+        assembler = SpanAssembler(2)
+        assembler.add(1, 2, ["b"])
         with pytest.raises(ParallelExecError):
-            assembler.assemble()
-        assembler.add(0, ["a"])
-        assert assembler.assemble() == ["a", "b"]
+            assembler.values()
+        assembler.add(0, 1, ["a"])
+        assert assembler.values() == ["a", "b"]
 
     def test_assembler_ignores_duplicate_delivery(self):
-        assembler = ResultAssembler(1)
-        assembler.add(0, ["first"])
-        assembler.add(0, ["late duplicate"])
-        assert assembler.assemble() == ["first"]
+        assembler = SpanAssembler(1)
+        assert assembler.add(0, 1, ["first"])
+        assert not assembler.add(0, 1, ["late duplicate"])
+        assert assembler.values() == ["first"]
 
 
 class TestScheduler:
     def test_serial_and_parallel_agree(self):
         items = list(range(40))
-        serial = run_chunked("test.double", items, workers=1, chunk_size=7)
-        parallel = run_chunked("test.double", items, workers=3, chunk_size=7)
+        serial = run_chunks("test.double", _chunks(items, 7), workers=1)
+        parallel = run_chunks("test.double", _chunks(items, 7), workers=3)
         assert serial == [2 * i for i in items]
         assert parallel == serial
 
     def test_parallel_uses_multiple_processes(self):
-        results = run_chunked("test.echo", list(range(12)), workers=3,
-                              chunk_size=2)
+        results = run_chunks("test.echo", _chunks(list(range(12)), 2),
+                             workers=3)
         assert [item for _, item in results] == list(range(12))
         assert all(pid != os.getpid() for pid, _ in results)
 
@@ -113,14 +121,12 @@ class TestScheduler:
             run_chunks("test.no_such_kind", [[1]], workers=1)
 
     def test_task_error_fails_fast_serial(self):
-        with pytest.raises(TaskError, match="chunk 1"):
-            run_chunked("test.fail13", [1, 2, 13, 4], workers=1,
-                        chunk_size=2)
+        with pytest.raises(TaskError, match=r"chunk \(1, 2\)"):
+            run_chunks("test.fail13", [[1, 2], [13, 4]], workers=1)
 
     def test_task_error_fails_fast_parallel(self):
         with pytest.raises(TaskError, match="unlucky"):
-            run_chunked("test.fail13", [1, 2, 13, 4], workers=2,
-                        chunk_size=2)
+            run_chunks("test.fail13", [[1, 2], [13, 4]], workers=2)
 
     def test_worker_crash_retried_then_succeeds(self, tmp_path):
         flag = str(tmp_path / "crashed")
@@ -133,12 +139,12 @@ class TestScheduler:
             os._exit(23)
 
         register_task_kind("test.crash_always", crash_always)
-        with pytest.raises(WorkerCrashError, match="chunk 0"):
+        with pytest.raises(WorkerCrashError, match=r"chunk \(0, 1\)"):
             run_chunks("test.crash_always", [[1]], workers=2, max_retries=1)
 
     def test_timeout_kills_and_exhausts_retries(self):
         start = time.monotonic()
-        with pytest.raises(ChunkTimeoutError, match="chunk 0"):
+        with pytest.raises(ChunkTimeoutError, match=r"chunk \(0, 1\)"):
             run_chunks("test.hang", [[1]], workers=2, timeout=0.3,
                        max_retries=1)
         assert time.monotonic() - start < 60  # killed, not waited out
@@ -214,3 +220,32 @@ class TestShutdownDrain:
             assert not proc.is_alive()
             assert proc.exitcode == 0, (
                 f"worker force-killed instead of drained: {proc.exitcode}")
+
+    def test_sigterm_ends_a_worker_quietly(self):
+        # `repro batch` routes SIGTERM to KeyboardInterrupt before it
+        # forks its pool.  If it exits mid-shutdown, multiprocessing's
+        # exit hook SIGTERMs the surviving workers: they must die of the
+        # signal, not raise the inherited KeyboardInterrupt and print a
+        # traceback onto the shared stderr.
+        import signal
+
+        from repro.parallel_exec.pool import WorkerPool
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGTERM, interrupt)
+        try:
+            pool = WorkerPool(1)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        try:
+            worker = next(iter(pool.workers.values()))
+            # One round trip proves the worker is past its start-up.
+            worker.dispatch(0, "test.double", [1], 1, None)
+            assert pool.poll_result(30) == (worker.worker_id, 0, True, [2])
+            worker.process.terminate()
+            worker.process.join(30)
+            assert worker.process.exitcode == -signal.SIGTERM
+        finally:
+            pool.shutdown()

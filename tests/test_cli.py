@@ -269,6 +269,24 @@ class TestManifestVersionCli:
         assert "version 99" in err
         assert len(err.strip().splitlines()) == 1  # no traceback
 
+    def test_resume_with_chunk_keyed_manifest_exits_2(self, tmp_path,
+                                                      capsys):
+        # Version-1 manifests (one fingerprint per fixed chunk) predate
+        # span-keyed checkpoints; refusing them keeps the work recorded.
+        import json
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(
+            {"version": 1, "kind": "repro.batch_hash", "num_chunks": 1,
+             "fingerprints": ["0" * 64], "completed": {}}))
+        before = manifest.read_text()
+        assert main(["batch", "--count", "4", "--size", "16",
+                     "--resume", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "chunk-keyed format version 1" in err
+        assert len(err.strip().splitlines()) == 1  # no traceback
+        assert manifest.read_text() == before
+
 
 class TestServeLoadgenCli:
     def test_commands_registered(self):

@@ -1,16 +1,16 @@
-"""Compiled-engine speedup guard: >= 2x over the fused engine.
+"""Compiled-engine speedup guard: >= 2x over the predecoded engine.
 
 The AOT code generator exists to make per-permutation wall-clock cheap:
-one flat specialized function instead of a superblock dispatch loop.
-This module pins the claim against the PR 2 fused engine on the
+one flat specialized function instead of a per-instruction dispatch
+loop.  This module pins the claim against the predecoded engine on the
 bench_table7 workloads (the three paper programs at their Table 7/8
 EleNum=30 operating points):
 
 * architectural equivalence first — the compiled run must match the
-  fused run's states and cycle counters bit-for-bit (a deterministic
-  guard that cannot flake);
+  predecoded run's states and cycle counters bit-for-bit (a
+  deterministic guard that cannot flake);
 * warm-cache per-permutation wall-clock must be at least
-  ``SPEEDUP_FLOOR``x faster than fused, interleaved best-of-N so
+  ``SPEEDUP_FLOOR``x faster than predecoded, interleaved best-of-N so
   frequency drift hits both legs;
 * both legs are recorded to ``BENCH_*codegen*.json`` via
   ``--bench-json`` so the perf trajectory across PRs is diffable.
@@ -26,7 +26,7 @@ from repro.programs.session import Session
 
 from conftest import make_states
 
-#: The tentpole's acceptance floor: compiled must halve fused's
+#: The acceptance floor: compiled must halve predecoded's
 #: per-permutation wall-clock (measured: 5-9x, so 2x has headroom).
 SPEEDUP_FLOOR = 2.0
 
@@ -42,14 +42,14 @@ _IDS = [f"{elen}bit-lmul{lmul}" for elen, lmul, _, _ in CONFIGS]
 
 def _legs(elen, lmul, elenum):
     program = build_program(elen, lmul, elenum)
-    return program, Session(engine="fused"), Session(engine="compiled")
+    return program, Session(engine="predecoded"), Session(engine="compiled")
 
 
 @pytest.mark.parametrize("elen,lmul,elenum,sn", CONFIGS, ids=_IDS)
-def test_compiled_matches_fused_exactly(elen, lmul, elenum, sn):
-    program, fused, compiled = _legs(elen, lmul, elenum)
+def test_compiled_matches_predecoded_exactly(elen, lmul, elenum, sn):
+    program, predecoded, compiled = _legs(elen, lmul, elenum)
     states = make_states(sn)
-    a = fused.run(program, states)
+    a = predecoded.run(program, states)
     b = compiled.run(program, states)
     assert b.states == a.states
     assert b.states == [keccak_f1600(s) for s in states]
@@ -59,11 +59,11 @@ def test_compiled_matches_fused_exactly(elen, lmul, elenum, sn):
 
 
 @pytest.mark.parametrize("elen,lmul,elenum,sn", CONFIGS, ids=_IDS)
-def test_compiled_speedup_over_fused(elen, lmul, elenum, sn):
-    program, fused, compiled = _legs(elen, lmul, elenum)
+def test_compiled_speedup_over_predecoded(elen, lmul, elenum, sn):
+    program, predecoded, compiled = _legs(elen, lmul, elenum)
     states = make_states(sn)
-    # Warm both legs: superblocks for fused, kernel caches for compiled.
-    fused.run(program, states)
+    # Warm both legs: predecode caches, and kernel caches for compiled.
+    predecoded.run(program, states)
     compiled.run(program, states)
 
     def best_of(session, rounds):
@@ -77,12 +77,12 @@ def test_compiled_speedup_over_fused(elen, lmul, elenum, sn):
     def measure_speedup():
         # Interleave the legs in small groups so scheduler contention
         # and clock-frequency drift hit both sides equally.
-        fused_best = float("inf")
+        predecoded_best = float("inf")
         compiled_best = float("inf")
         for _ in range(4):
-            fused_best = min(fused_best, best_of(fused, 2))
+            predecoded_best = min(predecoded_best, best_of(predecoded, 2))
             compiled_best = min(compiled_best, best_of(compiled, 3))
-        return fused_best / compiled_best
+        return predecoded_best / compiled_best
 
     # Measured headroom is ~3-4x the floor, so a failing session means a
     # real regression — but retry twice anyway so one noisy measurement
@@ -93,13 +93,14 @@ def test_compiled_speedup_over_fused(elen, lmul, elenum, sn):
         if speedups[-1] >= SPEEDUP_FLOOR:
             break
     assert speedups[-1] >= SPEEDUP_FLOOR, (
-        f"compiled engine consistently under {SPEEDUP_FLOOR}x vs fused "
+        f"compiled engine consistently under {SPEEDUP_FLOOR}x vs "
+        f"predecoded "
         f"in {len(speedups)} sessions: "
         + ", ".join(f"{s:.2f}x" for s in speedups)
     )
 
 
-@pytest.mark.parametrize("leg", ["fused", "compiled"])
+@pytest.mark.parametrize("leg", ["predecoded", "compiled"])
 def test_bench_codegen(benchmark, leg):
     elen, lmul, elenum, sn = CONFIGS[1]  # the 64-bit LMUL=8 flagship
     program = build_program(elen, lmul, elenum)

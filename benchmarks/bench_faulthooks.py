@@ -1,15 +1,16 @@
 """Fault-instrumentation overhead guard: an unarmed injector is free.
 
-The injector instruments by wrapping decoded entries and invalidating
-the cached superblocks; ``disarm`` restores the original executors, so
-after an arm/disarm cycle the fused hot loop runs exactly the code it
-ran before — no hook check, no wrapper frames.  This module pins that
-claim three ways:
+The injector instruments by wrapping decoded entries; ``disarm``
+restores the original executors, so after an arm/disarm cycle the
+predecoded hot loop runs exactly the code it ran before — no hook
+check, no wrapper frames.  This module pins that claim three ways, on
+a processor pinned to the predecoded engine (the engine the injector
+instruments):
 
 * cycle counts after arm/disarm are *identical* to a pristine run (a
   deterministic guard that cannot flake);
-* wall-clock overhead of the fused path after arm/disarm stays under
-  3% (interleaved best-of-N so frequency drift hits both legs);
+* wall-clock overhead of the predecoded path after arm/disarm stays
+  under 3% (interleaved best-of-N so frequency drift hits both legs);
 * both legs are recorded to ``BENCH_*faulthooks*.json`` via
   ``--bench-json`` so the trajectory across PRs is diffable.
 """
@@ -20,8 +21,8 @@ import pytest
 
 from repro.keccak import keccak_f1600
 from repro.programs import keccak64_lmul8, layout
-from repro.programs.runner import make_processor
 from repro.resilience import FaultInjector, FaultSpec
+from repro.sim import SIMDProcessor
 
 from conftest import make_states
 
@@ -30,13 +31,14 @@ ASSEMBLED = PROGRAM.assemble()
 [STATE] = make_states(1)
 EXPECTED = keccak_f1600(STATE)
 
-#: Wall-clock guard threshold (satellite requirement: fused-path
-#: overhead with hooks disarmed must stay under 3%).
+#: Wall-clock guard threshold: predecoded-path overhead with hooks
+#: disarmed must stay under 3%.
 OVERHEAD_LIMIT = 0.03
 
 
 def _processor():
-    proc = make_processor(PROGRAM, trace=False)
+    proc = SIMDProcessor(elen=PROGRAM.elen, elenum=PROGRAM.elenum,
+                         engine="predecoded")
     proc.load_program(ASSEMBLED)
     return proc
 
@@ -46,8 +48,8 @@ def _arm_disarm(proc):
     with FaultInjector(proc) as injector:
         injector.arm(FaultSpec("raise",
                                pc=ASSEMBLED.symbols["round_body"]))
-    # Context exit disarmed the fault; the next run() rebuilds the
-    # superblocks around the restored (original) executors.
+    # Context exit disarmed the fault and restored the original
+    # executors.
 
 
 def _permute(proc):
@@ -69,11 +71,11 @@ def test_arm_disarm_leaves_cycles_identical():
     assert restored.stats.instructions == pristine.stats.instructions
 
 
-def test_fused_overhead_after_disarm_under_3pct():
+def test_predecoded_overhead_after_disarm_under_3pct():
     pristine = _processor()
     restored = _processor()
     _arm_disarm(restored)
-    # Warm-up: build superblocks and JIT-warm both processors.
+    # Warm-up: fill the caches of both processors.
     assert _permute(pristine) == EXPECTED
     assert _permute(restored) == EXPECTED
 
@@ -107,7 +109,7 @@ def test_fused_overhead_after_disarm_under_3pct():
         if overheads[-1] < OVERHEAD_LIMIT:
             break
     assert overheads[-1] < OVERHEAD_LIMIT, (
-        f"fused path consistently slower after arm/disarm in "
+        f"predecoded path consistently slower after arm/disarm in "
         f"{len(overheads)} sessions: "
         + ", ".join(f"{o:+.1%}" for o in overheads)
         + f" (limit {OVERHEAD_LIMIT:.0%})"
@@ -119,7 +121,7 @@ def test_bench_faulthooks(benchmark, leg):
     proc = _processor()
     if leg == "after_disarm":
         _arm_disarm(proc)
-    _permute(proc)  # warm superblocks outside the timed region
+    _permute(proc)  # warm caches outside the timed region
     out = benchmark(lambda: _permute(proc))
     assert out == EXPECTED
     benchmark.extra_info["cycles"] = proc.stats.cycles

@@ -1,29 +1,39 @@
 """Benchmark harness for the design-space sweep (Pareto figure data).
 
 Extends the paper's three-point-per-architecture evaluation to the full
-EleNum grid and derives the throughput-vs-area efficiency frontier.
+EleNum grid — the ``repro sweep`` grid of :mod:`repro.eval.explore`,
+including the fused rho+pi/chi program — and derives the
+throughput-vs-area efficiency frontier.
 """
 
 import pytest
 
-from repro.eval.sweep import pareto_frontier, render_sweep, sweep_design_space
+from repro.eval.explore import (
+    FUSED_VARIANT,
+    VARIANTS,
+    explore,
+    explore_grid,
+    pareto_frontier,
+    render_explore,
+    sweep_grid,
+)
 
 
 @pytest.fixture(scope="module")
 def points():
-    return sweep_design_space()
+    return explore(sweep_grid())
 
 
 @pytest.fixture(scope="module", autouse=True)
 def print_sweep(points):
     yield
     print()
-    print(render_sweep(points))
+    print(render_explore(points))
     print()
     print("Pareto frontier:")
-    for p in pareto_frontier(points):
-        print(f"  {p.label:48s} {p.throughput_e3:9.2f} tput  "
-              f"{p.area_slices:8.0f} slices")
+    for r in pareto_frontier(points):
+        print(f"  {r.point.label:48s} {r.throughput_e3:9.2f} tput  "
+              f"{r.area_slices:8.0f} slices")
 
 
 def test_full_grid_size(points):
@@ -36,11 +46,12 @@ def test_throughput_monotone_in_elenum(points):
     for elen, lmul, fused in ((64, 1, False), (64, 8, False),
                               (32, 8, False), (64, 8, True)):
         series = sorted(
-            (p for p in points
-             if p.elen == elen and p.lmul == lmul and p.fused == fused),
-            key=lambda p: p.elenum,
+            (r for r in points
+             if (r.point.elen, r.point.lmul, r.point.fused)
+             == (elen, lmul, fused)),
+            key=lambda r: r.point.elenum,
         )
-        values = [p.throughput_e3 for p in series]
+        values = [r.throughput_e3 for r in series]
         assert values == sorted(values)
 
 
@@ -48,14 +59,18 @@ def test_efficiency_ranking(points):
     """Throughput-per-slice: fused > LMUL=8 > LMUL=1 > 32-bit at any
     common EleNum (the 64-bit datapath amortizes better)."""
     for elenum in (5, 30):
-        at = {(p.elen, p.lmul, p.fused): p.throughput_per_kslice
-              for p in points if p.elenum == elenum}
+        at = {(r.point.elen, r.point.lmul, r.point.fused):
+              r.throughput_per_kslice
+              for r in points if r.point.elenum == elenum}
         assert at[(64, 8, True)] > at[(64, 8, False)]
         assert at[(64, 8, False)] > at[(64, 1, False)]
         assert at[(64, 1, False)] > at[(32, 8, False)]
 
 
 def test_bench_sweep(benchmark):
-    """Time a reduced sweep (measurements are cached after first run)."""
-    result = benchmark(lambda: sweep_design_space(elenums=[5, 30]))
+    """Time a reduced sweep: EleNum 5 and 30, all four variants."""
+    grid = explore_grid(elenums=(5, 30),
+                        variants=VARIANTS + (FUSED_VARIANT,),
+                        banks=(1,), issue_widths=(1,))
+    result = benchmark(lambda: explore(grid))
     assert len(result) == 8

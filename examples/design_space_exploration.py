@@ -2,7 +2,7 @@
 """Design-space exploration: everything the paper's evaluation implies.
 
 Sweeps the full (ELEN, LMUL, EleNum) grid plus the future-work fused
-variant, prints the Pareto frontier, decomposes each variant's round into
+variant with the ``repro explore`` sweeper, prints the Pareto frontier, decomposes each variant's round into
 step mappings, projects absolute throughput at the paper's 100 MHz clock,
 and quantifies the §3.2 bit-interleaving trade-off.
 
@@ -13,23 +13,26 @@ from repro.arch import ArchConfig, at_frequency
 from repro.eval import (
     measure_config,
     measure_instruction_mix,
-    pareto_frontier,
     render_interleave_analysis,
-    render_sweep,
-    sweep_design_space,
+)
+from repro.eval.explore import (
+    explore,
+    pareto_frontier,
+    render_explore,
+    sweep_grid,
 )
 from repro.keccak import KeccakState
 from repro.programs import keccak64_fused, keccak64_lmul8
 
 
 def main() -> None:
-    points = sweep_design_space()
-    print(render_sweep(points))
+    results = explore(sweep_grid())
+    print(render_explore(results))
     print()
     print("Pareto frontier (throughput vs area):")
-    for p in pareto_frontier(points):
-        print(f"  {p.label:48s} {p.throughput_e3:9.2f} tput e3  "
-              f"{p.area_slices:8.0f} slices")
+    for r in pareto_frontier(results):
+        print(f"  {r.point.label:48s} {r.throughput_e3:9.2f} tput e3  "
+              f"{r.area_slices:8.0f} slices")
     print()
 
     state = [KeccakState(list(range(25)))]

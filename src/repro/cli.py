@@ -6,7 +6,8 @@ Commands
 ``tables``
     Regenerate Tables 7 and 8 and the Section 4.2 headline report.
 ``sweep``
-    Design-space sweep with Pareto frontier (includes the fused variant).
+    Default-timing design-space sweep with Pareto frontier (includes the
+    fused variant).
 ``explore``
     Distributed design-space exploration across timing models: sweep
     (EleNum, ELEN, LMUL, register banks, issue width) over the worker
@@ -84,15 +85,15 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .eval import pareto_frontier, render_sweep, sweep_design_space
+    from .eval import explore as explore_mod
 
-    points = sweep_design_space(include_fused=not args.no_fused)
-    print(render_sweep(points))
+    results = explore_mod.explore(explore_mod.sweep_grid())
+    print(explore_mod.render_explore(results))
     print()
     print("Pareto frontier (throughput vs area):")
-    for p in pareto_frontier(points):
-        print(f"  {p.label:48s} {p.throughput_e3:9.2f} tput e3  "
-              f"{p.area_slices:8.0f} slices")
+    for r in explore_mod.pareto_frontier(results):
+        print(f"  {r.point.label:48s} {r.throughput_e3:9.2f} tput e3  "
+              f"{r.area_slices:8.0f} slices")
     return 0
 
 
@@ -116,11 +117,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         if not part:
             continue
         try:
-            elen, lmul = part.split("x")
-            variants.append((int(elen), int(lmul)))
+            elen, lmul = part.removesuffix("f").split("x")
+            variants.append((int(elen), int(lmul), part.endswith("f")))
         except ValueError:
-            raise ValueError(f"--variants entries look like 64x8, "
-                             f"got {part!r}")
+            raise ValueError(f"--variants entries look like 64x8 "
+                             f"(64x8f for fused), got {part!r}")
     chaining = (False, True) if args.chaining else (False,)
     grid = explore_mod.explore_grid(
         elenums=elenums, variants=variants, banks=banks,
@@ -139,7 +140,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             for problem in problems:
                 print(f"pin mismatch: {problem}", file=sys.stderr)
             return 1
-        defaults = sum(1 for row in doc["points"] if row["default_timing"])
+        defaults = sum(1 for row in doc["points"]
+                       if row["default_timing"] and not row["fused"])
         print(f"# pins ok: {defaults} default-timing row(s) reproduce "
               f"the paper cycle pins exactly", file=sys.stderr)
     return 0
@@ -539,7 +541,7 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINES, default="auto",
         help="simulator execution engine (auto = compiled when eligible, "
-             "fused otherwise; soa = functional mega-batch kernels, "
+             "predecoded otherwise; soa = functional mega-batch kernels, "
              "digests only)",
     )
 
@@ -554,9 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("tables", help="regenerate Tables 7/8 and the report")
 
-    p_sweep = sub.add_parser("sweep", help="design-space sweep + Pareto")
-    p_sweep.add_argument("--no-fused", action="store_true",
-                         help="exclude the future-work fused variant")
+    sub.add_parser("sweep", help="default-timing design-space sweep + "
+                                 "Pareto")
 
     p_explore = sub.add_parser(
         "explore",
@@ -565,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated EleNum axis "
                                 "(multiples of 5)")
     p_explore.add_argument("--variants", default="64x1,64x8,32x8",
-                           help="comma-separated ELENxLMUL variants")
+                           help="comma-separated ELENxLMUL variants "
+                                "(64x8f = the fused program)")
     p_explore.add_argument("--banks", default="1,2",
                            help="comma-separated vector register bank "
                                 "counts")
@@ -722,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default: all)")
     p_campaign.add_argument("--modes", default=None,
                             help="comma-separated engine modes "
-                                 "(stepped,predecoded,fused)")
+                                 "(stepped,predecoded)")
     p_campaign.add_argument("--no-crosscheck", action="store_true",
                             help="skip replaying faults on the reference "
                                  "engine")

@@ -17,7 +17,6 @@ from .measure import (
     measure_scalar_baseline,
 )
 from .report import Comparison, generate_report, render_report
-from .sweep import SweepPoint, pareto_frontier, render_sweep, sweep_design_space
 from .tables import (
     PAPER_TABLE7,
     PAPER_TABLE8,
@@ -46,10 +45,6 @@ __all__ = [
     "analyze_interleaving",
     "render_interleave_analysis",
     "measure_instruction_mix",
-    "SweepPoint",
-    "sweep_design_space",
-    "pareto_frontier",
-    "render_sweep",
     "render_fig5",
     "render_fig6",
     "render_fig7",

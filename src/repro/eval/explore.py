@@ -1,14 +1,15 @@
-"""Distributed design-space exploration: ``repro explore``.
+"""Design-space exploration: ``repro explore`` and ``repro sweep``.
 
 The paper's headline result is a design-space trade-off — cycles vs
-FPGA area across (EleNum, ELEN, LMUL).  :mod:`repro.eval.sweep` fills
-that grid under the one calibrated timing model; this module opens the
-*microarchitecture* axes on top: vector register bank count, scalar
-issue width and chaining (the knobs
-:class:`~repro.sim.timing.TimingModel` exposes), measures every
+FPGA area across (EleNum, ELEN, LMUL).  This module sweeps that grid,
+plus the paper's Section 5 fused rho+pi/chi program (the ``64x8f``
+variant), and opens the *microarchitecture* axes on top: vector
+register bank count, scalar issue width and chaining (the knobs
+:class:`~repro.sim.timing.TimingModel` exposes).  It measures every
 configuration on the simulator, joins the calibrated
 :mod:`repro.arch.area` model, and reduces the cloud to an
-area-vs-throughput Pareto front.
+area-vs-throughput Pareto front.  ``repro sweep`` is the
+default-timing slice of the same grid (:func:`sweep_grid`).
 
 Points fan out over the worker pool through the same span scheduler
 ``run_many`` uses, pickled a span at a time: a point pickles to about
@@ -35,13 +36,14 @@ from ..arch.metrics import throughput_e3 as _throughput_e3
 from ..keccak.permutation import keccak_f1600
 from ..parallel_exec import register_task_kind
 from ..parallel_exec.scheduler import plan_spans, run_spans_report
+from ..programs import keccak64_fused
 from ..programs.factory import build_program
 from ..programs.session import default_session
 from ..sim.timing import TimingModel
 from .measure import VerificationError, _random_states
 
 #: Artifact schema identifier; bump on any layout change.
-EXPLORE_SCHEMA = "repro-explore-pareto/1"
+EXPLORE_SCHEMA = "repro-explore-pareto/2"
 
 #: The paper's published design points: per-permutation cycles and
 #: cycles/round for each (ELEN, LMUL) variant — EleNum-independent
@@ -55,6 +57,10 @@ PAPER_PINS: Dict[Tuple[int, int], Tuple[int, float]] = {
 
 #: The architecture variants the paper programs exist for.
 VARIANTS: Tuple[Tuple[int, int], ...] = ((64, 1), (64, 8), (32, 8))
+
+#: The paper's Section 5 fused rho+pi/chi program (64-bit, LMUL=8) as a
+#: ``variants`` entry; the CLI spells it ``64x8f``.
+FUSED_VARIANT: Tuple[int, int, bool] = (64, 8, True)
 
 _EXPLORE_TASK_KIND = "repro.explore"
 
@@ -70,10 +76,19 @@ class ExplorePoint:
     register_banks: int = 1
     issue_width: int = 1
     chaining: bool = False
+    #: Run the fused rho+pi/chi program instead of the paper program.
+    fused: bool = False
+
+    @property
+    def variant(self) -> str:
+        """The ``ELENxLMUL`` spelling, ``f``-suffixed for fused points."""
+        return f"{self.elen}x{self.lmul}{'f' if self.fused else ''}"
 
     @property
     def label(self) -> str:
-        bits = [f"{self.elen}-bit LMUL={self.lmul} EleNum={self.elenum}"]
+        fused = " fused" if self.fused else ""
+        bits = [f"{self.elen}-bit LMUL={self.lmul}{fused} "
+                f"EleNum={self.elenum}"]
         if self.register_banks != 1:
             bits.append(f"banks={self.register_banks}")
         if self.issue_width != 1:
@@ -122,29 +137,51 @@ class ExploreResult:
         return 1000.0 * self.throughput_e3 / self.area_slices
 
 
+def _variant_key(variant: Sequence) -> Tuple[int, int, bool]:
+    """``(elen, lmul)`` or ``(elen, lmul, fused)`` as a checked triple."""
+    elen, lmul, *flag = variant
+    key = (elen, lmul, bool(flag and flag[0]))
+    if (elen, lmul) not in VARIANTS or (key[2] and key != FUSED_VARIANT):
+        raise ValueError(f"no program for variant {tuple(variant)!r}")
+    return key
+
+
+def _check_axis(name: str, values: Sequence) -> None:
+    if not values:
+        raise ValueError(f"{name} axis is empty")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} axis repeats a value: {list(values)}")
+
+
 def explore_grid(elenums: Sequence[int] = (5, 15, 30),
-                 variants: Sequence[Tuple[int, int]] = VARIANTS,
+                 variants: Sequence[Sequence] = VARIANTS,
                  banks: Sequence[int] = (1, 2),
                  issue_widths: Sequence[int] = (1, 2),
                  chaining: Sequence[bool] = (False,)) -> List[ExplorePoint]:
     """The cartesian sweep grid, default timing knobs first.
 
     Every EleNum must hold an integral number of states (a multiple of
-    5); each point runs fully occupied.  The default grid covers the
-    paper's published design points (EleNum 5/15/30 across all three
-    variants, one bank, single issue) plus the banked and dual-issue
+    5); each point runs fully occupied.  ``variants`` entries are
+    ``(elen, lmul)`` pairs from :data:`VARIANTS`, or
+    :data:`FUSED_VARIANT` for the fused program.  Every axis must be
+    non-empty and free of repeats.  The default grid covers the paper's
+    published design points (EleNum 5/15/30 across all three variants,
+    one bank, single issue) plus the banked and dual-issue
     microarchitectures around them.
     """
     for elenum in elenums:
         if elenum < 5 or elenum % 5:
             raise ValueError(
                 f"EleNum must be a positive multiple of 5, got {elenum}")
-    for variant in variants:
-        if tuple(variant) not in VARIANTS:
-            raise ValueError(f"no program for variant {variant!r}")
+    keys = [_variant_key(variant) for variant in variants]
+    for name, values in (("elenums", list(elenums)), ("variants", keys),
+                         ("banks", list(banks)),
+                         ("issue_widths", list(issue_widths)),
+                         ("chaining", list(chaining))):
+        _check_axis(name, values)
     points = []
     for elenum in elenums:
-        for elen, lmul in variants:
+        for elen, lmul, fused in keys:
             for bank_count in banks:
                 for issue in issue_widths:
                     for chain in chaining:
@@ -153,9 +190,22 @@ def explore_grid(elenums: Sequence[int] = (5, 15, 30),
                             num_states=elenum // 5,
                             register_banks=bank_count,
                             issue_width=issue, chaining=chain,
+                            fused=fused,
                         ))
     points.sort(key=lambda p: not p.is_default_timing)
     return points
+
+
+def sweep_grid() -> List[ExplorePoint]:
+    """The ``repro sweep`` grid: default timing, 24 points.
+
+    Every EleNum from 5 to 30 in steps of 5 across all four variants —
+    the three paper programs plus the fused one — on one bank with
+    single issue.
+    """
+    return explore_grid(elenums=range(5, 31, 5),
+                        variants=VARIANTS + (FUSED_VARIANT,),
+                        banks=(1,), issue_widths=(1,))
 
 
 # -- measurement (runs in workers and serially) ---------------------------------
@@ -170,7 +220,8 @@ def measure_point(point: ExplorePoint) -> ExploreResult:
     processors and predecode caches).
     """
     model = point.timing_model()
-    program = build_program(point.elen, point.lmul, point.elenum)
+    program = (keccak64_fused.build(point.elenum) if point.fused
+               else build_program(point.elen, point.lmul, point.elenum))
     states = _random_states(point.num_states)
     result = default_session(model).run(program, states, trace=True)
     if result.states != [keccak_f1600(s) for s in states]:
@@ -264,8 +315,7 @@ def build_artifact(results: Sequence[ExploreResult]) -> dict:
         rows.append(row)
     axes = {
         "elenum": sorted({r.point.elenum for r in results}),
-        "variant": sorted({f"{r.point.elen}x{r.point.lmul}"
-                           for r in results}),
+        "variant": sorted({r.point.variant for r in results}),
         "register_banks": sorted({r.point.register_banks
                                   for r in results}),
         "issue_width": sorted({r.point.issue_width for r in results}),
@@ -286,7 +336,8 @@ def build_artifact(results: Sequence[ExploreResult]) -> dict:
 _ROW_REQUIRED = {
     "label": str, "elen": int, "lmul": int, "elenum": int,
     "num_states": int, "register_banks": int, "issue_width": int,
-    "chaining": bool, "default_timing": bool, "timing_fingerprint": str,
+    "chaining": bool, "fused": bool, "default_timing": bool,
+    "timing_fingerprint": str,
     "permutation_cycles": int, "cycles_per_round": (int, float),
     "throughput_e3": (int, float), "area_slices": (int, float),
     "throughput_per_kslice": (int, float), "on_frontier": bool,
@@ -332,12 +383,13 @@ def check_pins(doc: dict, path: str = "<artifact>") -> List[str]:
 
     Every default-timing row must carry its variant's published cycle
     counts exactly (they are EleNum-independent), and at least one
-    default-timing row must exist per published variant.
+    default-timing row must exist per published variant.  Fused rows
+    are skipped: the pins belong to the three paper programs.
     """
     problems: List[str] = []
     seen: Dict[Tuple[int, int], int] = {}
     for row in doc.get("points", ()):
-        if not row.get("default_timing"):
+        if not row.get("default_timing") or row.get("fused"):
             continue
         variant = (row["elen"], row["lmul"])
         pin = PAPER_PINS.get(variant)
@@ -363,6 +415,7 @@ def check_pins(doc: dict, path: str = "<artifact>") -> List[str]:
 
 def _variant_swept(doc: dict, variant: Tuple[int, int]) -> bool:
     return any((row.get("elen"), row.get("lmul")) == variant
+               and not row.get("fused")
                for row in doc.get("points", ()))
 
 
@@ -407,8 +460,8 @@ def render_explore(results: Sequence[ExploreResult],
     """Human-readable sweep table: frontier first, then dominated points."""
     frontier = pareto_frontier(results)
     on_frontier = {id(r) for r in frontier}
-    header = (f"{'Configuration':52s} {'cyc/perm':>9s} {'tput e3':>9s} "
-              f"{'slices':>9s} {'tput/kslice':>12s}  front")
+    header = (f"{'Configuration':52s} {'cyc/perm':>9s} {'cyc/rnd':>8s} "
+              f"{'tput e3':>9s} {'slices':>9s} {'tput/kslice':>12s}  front")
     lines = ["Design-space exploration", "=" * len(header), header,
              "-" * len(header)]
     ordered = sorted(results, key=lambda r: (id(r) not in on_frontier,
@@ -419,6 +472,7 @@ def render_explore(results: Sequence[ExploreResult],
         marker = "  *" if id(r) in on_frontier else ""
         lines.append(
             f"{r.point.label[:52]:52s} {r.permutation_cycles:9d} "
+            f"{r.cycles_per_round:8.0f} "
             f"{r.throughput_e3:9.2f} {r.area_slices:9.0f} "
             f"{r.throughput_per_kslice:12.2f}{marker}"
         )

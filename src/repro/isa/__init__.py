@@ -42,10 +42,10 @@ from .vector import (
 )
 
 
-def build_isa(include_fused: bool = True) -> InstructionSet:
+def build_isa(fused_extensions: bool = True) -> InstructionSet:
     """Construct a fresh registry with every supported instruction.
 
-    ``include_fused`` adds the future-work fused extensions (vrhopi/vchi)
+    ``fused_extensions`` adds the future-work fused extensions (vrhopi/vchi)
     on top of the paper's baseline ISA.
     """
     isa = InstructionSet()
@@ -54,7 +54,7 @@ def build_isa(include_fused: bool = True) -> InstructionSet:
     isa.register_all(ZICSR_SPECS)
     isa.register_all(RVV_SPECS)
     isa.register_all(CUSTOM_SPECS)
-    if include_fused:
+    if fused_extensions:
         isa.register_all(FUSED_SPECS)
     return isa
 

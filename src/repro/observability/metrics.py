@@ -10,13 +10,13 @@ counter/gauge/histogram trio coreblocks wires through its pipeline via
 
 * :class:`Counter` — monotonically increasing totals (runs per engine,
   cache hits, retries).
-* :class:`Gauge` — last/maximum observed value (superblock fused
-  fraction, pool size).
+* :class:`Gauge` — last/maximum observed value (serve queue depth,
+  live shm segments).
 * :class:`Histogram` — fixed-bucket distributions (compile seconds,
-  chunk latency, superblock occupancy).
+  chunk latency, serve batch sizes).
 
 Every metric is a *family* of labeled series: ``SIM_RUNS.inc(engine=
-"fused")`` and ``SIM_RUNS.inc(engine="compiled")`` are two series of one
+"predecoded")`` and ``SIM_RUNS.inc(engine="compiled")`` are two series of one
 counter.  Families are created once at import time by the modules they
 instrument; creation is idempotent (get-or-create by name), so several
 modules can share a family.
@@ -72,7 +72,7 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
 )
 
-#: Buckets for small integer counts (superblock lengths and the like).
+#: Buckets for small integer counts (batch sizes and the like).
 COUNT_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 512)
 
 

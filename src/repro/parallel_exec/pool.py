@@ -12,7 +12,7 @@ code objects.
 Workers deliberately hold mutable per-process caches (the batch-hashing
 task keeps a warm :class:`~repro.programs.session.Session` per
 architecture), which is the whole point of a persistent pool: predecode
-and superblock construction happen once per process, not once per chunk.
+and kernel compilation happen once per process, not once per chunk.
 """
 
 from __future__ import annotations

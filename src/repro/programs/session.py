@@ -218,7 +218,7 @@ class Session:
         full instruction trace (needed for the per-round/permutation
         cycle metrics; without it those fall back to whole-run totals) —
         and disqualifies the compiled engine, so traced runs execute on
-        the fused/stepped reference paths.  ``engine`` overrides the
+        the predecoded/stepped reference paths.  ``engine`` overrides the
         session default for this run only — the session processor is
         restored to the session engine afterwards, so a one-off override
         can never leak into later runs.

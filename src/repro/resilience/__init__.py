@@ -7,11 +7,12 @@ does the same adversarially, at scale:
 * :mod:`~repro.resilience.inject` — plant bit flips (vector regfile,
   scalar regs, memory), decoded-word corruption, or forced
   :class:`~repro.sim.exceptions.SimulationError` at a chosen
-  (pc, occurrence), on any of the three execution engines.
+  (pc, occurrence), on the stepped and predecoded execution engines.
 * :mod:`~repro.resilience.selfcheck` — differential oracles: lockstep
   predecoded-vs-naive comparison with first-divergence (pc, register,
-  lane) reporting, fused-vs-stepped whole-run checks against the golden
-  Keccak model, and end-to-end digest cross-checks against ``hashlib``.
+  lane) reporting, predecoded-vs-stepped whole-run checks against the
+  golden Keccak model, and end-to-end digest cross-checks against
+  ``hashlib``.
 * :mod:`~repro.resilience.campaign` — seeded randomized fault campaigns
   that classify every fault as detected / corrupted / masked and fail on
   any silent divergence between engines (``repro faultcampaign``).

@@ -1,8 +1,8 @@
-"""Randomized fault campaigns across the three execution engines.
+"""Randomized fault campaigns across the instrumented execution engines.
 
 A campaign injects seeded random faults (:class:`~repro.resilience.
-inject.FaultSpec`) into Keccak runs on the **stepped**, **predecoded**
-and **fused** engines and classifies every outcome:
+inject.FaultSpec`) into Keccak runs on the **stepped** and
+**predecoded** engines and classifies every outcome:
 
 ``detected``
     A :class:`~repro.sim.exceptions.SimulationError` escaped the run
@@ -19,14 +19,13 @@ Anything else is a **silent divergence** and fails the campaign:
 
 * a detected fault whose exception carries no pc/cycle context;
 * a Python-level crash that is not a :class:`SimulationError`;
-* a fused or stepped trial whose outcome (classification, exception
-  type, fault pc, retired instructions, cycles, or final state) differs
-  from the same fault replayed on the per-instruction predecoded
-  reference engine.
+* a stepped trial whose outcome (classification, exception type, fault
+  pc, retired instructions, cycles, or final state) differs from the
+  same fault replayed on the predecoded engine.
 
-The cross-replay is the load-bearing check: it turns PR 2's "mid-block
-faults flush the retired prefix and repair the pc" contract into a
-property verified under thousands of randomized faults.
+The cross-replay is the load-bearing check: it turns "both engines stop
+at the same instruction with the same counters" into a property
+verified under thousands of randomized faults.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .inject import FaultInjector, FaultSpec
 from .selfcheck import _place_states, _read_states
 
 #: Execution engines a campaign exercises.
-MODES = ("stepped", "predecoded", "fused")
+MODES = ("stepped", "predecoded")
 
 #: Program variants (ELEN, LMUL) the campaign draws from.
 VARIANTS: Dict[str, Tuple[int, int]] = {
@@ -146,10 +145,7 @@ def _mode_processor(program: KeccakProgram, mode: str) -> SIMDProcessor:
                              predecode=False)
     if mode == "predecoded":
         return SIMDProcessor(elen=program.elen, elenum=program.elenum,
-                             predecode=True, fuse=False)
-    if mode == "fused":
-        return SIMDProcessor(elen=program.elen, elenum=program.elenum,
-                             predecode=True, fuse=True)
+                             predecode=True)
     raise ValueError(f"unknown mode: {mode!r}")
 
 
@@ -231,8 +227,8 @@ def run_campaign(num_faults: int = 200, seed: int = 0,
     """Inject ``num_faults`` seeded random faults; classify every one.
 
     Faults rotate over ``variants`` × ``modes``.  With ``crosscheck``
-    (the default) every stepped/fused trial is replayed on the
-    per-instruction predecoded engine and the outcomes must match
+    (the default) every stepped trial is replayed on the predecoded
+    engine and the outcomes must match
     exactly — classification, exception type, fault pc, retired
     instruction count, cycle counter and final states.
     """

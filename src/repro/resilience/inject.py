@@ -21,16 +21,15 @@ time.  Supported fault kinds:
     decoder would raise.
 ``raise``
     Force a :class:`~repro.sim.exceptions.SimulationError` subclass at
-    the trigger — the hook PR 2's mid-block flush/repair contract is
-    tested through.
+    the trigger — the hook the exact-fault-context contract (pc, cycle
+    and retired count at the fault) is tested through.
 
 Instrumentation strategy — the hot path stays unpaid:
 
-* **Predecoded / fused processors** are instrumented by *wrapping the
-  decoded entry* at the trigger pc and dropping the cached superblocks so
-  the next ``run()`` rebuilds them around the wrapper.  Unaffected
-  entries and the fused dispatch loop are untouched; with no injector
-  armed the execution path is byte-for-byte the PR 2 hot loop.
+* **Predecoded processors** are instrumented by *wrapping the decoded
+  entry* at the trigger pc.  Unaffected entries and the predecoded
+  dispatch loop are untouched; with no injector armed the execution
+  path is byte-for-byte the uninstrumented hot loop.
 * **Stepped processors** (``predecode=False``) have no entries to wrap;
   the injector installs :attr:`~repro.sim.processor.SIMDProcessor.
   fault_hook`, which the per-step decode path consults before each
@@ -38,7 +37,7 @@ Instrumentation strategy — the hot path stays unpaid:
 
 State flips fire exactly once (the trigger occurrence); ``word-corrupt``
 latches; ``raise`` fires on every visit from the trigger occurrence on
-(the first visit already aborts straight-line runs).
+(the first visit already aborts the run).
 """
 
 from __future__ import annotations
@@ -167,11 +166,8 @@ class FaultInjector:
             armed.entry = entry
             armed.original_execute = entry.execute
             if spec.kind == "word-corrupt":
-                # Swap the entry's whole decode so superblock geometry
-                # sees the corrupted instruction's true character (a
-                # corrupted word may become a branch/csr/ecall, which
-                # must terminate a block exactly as it would have had
-                # the program been assembled that way).
+                # Swap the entry's whole decode so trace records and
+                # fault annotations name the corrupted instruction.
                 armed.original_word = entry.word
                 armed.original_spec = entry.spec
                 armed.original_mnemonic = entry.mnemonic
@@ -185,10 +181,6 @@ class FaultInjector:
                     armed, armed.original_execute, execute)
             else:
                 entry.execute = self._wrap(armed)
-            # Cached fused blocks captured the original executor (and
-            # geometry) — drop them so the next run() rebuilds around
-            # the wrapper.
-            pre.superblocks = None
             # Disqualify the compiled engine: a flat kernel would run
             # straight past the wrapped executor (see
             # SIMDProcessor._run_compiled).
@@ -203,7 +195,6 @@ class FaultInjector:
 
     def disarm(self) -> None:
         """Restore every wrapped entry / hook; the processor is pristine."""
-        pre = self.processor._predecoded
         for armed in self._armed.values():
             if armed.entry is not None:
                 armed.entry.execute = armed.original_execute
@@ -215,8 +206,6 @@ class FaultInjector:
             if armed.word_mutated and armed.original_word is not None:
                 self.processor._program_words[armed.spec.pc] = \
                     armed.original_word
-        if self._armed and pre is not None:
-            pre.superblocks = None
         if self._hook_installed:
             self.processor.fault_hook = None
             self._hook_installed = False

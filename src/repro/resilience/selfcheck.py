@@ -1,4 +1,4 @@
-"""Differential self-verification: fused vs stepped vs golden model.
+"""Differential self-verification: predecoded vs stepped vs golden model.
 
 Three independent references keep the execution engines honest:
 
@@ -13,8 +13,8 @@ Three independent references keep the execution engines honest:
 decoder *one instruction at a time*, comparing the full architectural
 state after every step, and reports the **first divergence** down to the
 (pc, register, lane) that disagrees.  :func:`selfcheck_run` compares the
-fused engine's final state and counters against stepped execution and the
-golden permutation — the cheap whole-run oracle the fault campaign uses.
+predecoded engine's final state and counters against stepped execution
+and the golden permutation — the cheap whole-run oracle.
 """
 
 from __future__ import annotations
@@ -118,10 +118,9 @@ def _compare_architectural(index: int, pc: int,
     return _first_vreg_divergence(index, pc, a, b)
 
 
-def _make_processor(program: KeccakProgram, *, predecode: bool,
-                    fuse: bool) -> SIMDProcessor:
+def _make_processor(program: KeccakProgram, engine: str) -> SIMDProcessor:
     return SIMDProcessor(elen=program.elen, elenum=program.elenum,
-                         predecode=predecode, fuse=fuse)
+                         predecode=engine != "stepped", engine=engine)
 
 
 def _place_states(proc: SIMDProcessor, program: KeccakProgram,
@@ -168,8 +167,8 @@ def lockstep_verify(program: KeccakProgram,
     :class:`Divergence`.  Final data memory is compared once at the end
     (comparing a megabyte per step would swamp the signal).
     """
-    fast = _make_processor(program, predecode=True, fuse=False)
-    slow = _make_processor(program, predecode=False, fuse=False)
+    fast = _make_processor(program, "predecoded")
+    slow = _make_processor(program, "stepped")
     _place_states(fast, program, states)
     _place_states(slow, program, states)
 
@@ -228,20 +227,20 @@ def lockstep_verify(program: KeccakProgram,
 def selfcheck_run(program: KeccakProgram,
                   states: Sequence[KeccakState],
                   max_instructions: int = 10_000_000) -> SelfCheckReport:
-    """Whole-run oracle: fused vs stepped execution vs the golden model.
+    """Whole-run oracle: predecoded vs stepped execution vs the golden model.
 
-    Runs the program twice — superblock-fused and per-instruction
-    stepped — and requires identical final states, cycle and instruction
-    counters, then checks both against :func:`keccak_f1600` applied to
+    Runs the program twice — on the predecoded engine and on the
+    per-instruction stepped decoder — and requires identical final
+    states, cycle and instruction counters, then checks both against :func:`keccak_f1600` applied to
     the input states.  (For reduced-round programs the golden comparison
     is skipped; the engines must still agree with each other.)
     """
-    fused = _make_processor(program, predecode=True, fuse=True)
-    stepped = _make_processor(program, predecode=False, fuse=False)
+    predecoded = _make_processor(program, "predecoded")
+    stepped = _make_processor(program, "stepped")
     divergences: List[Divergence] = []
 
     results = []
-    for proc in (fused, stepped):
+    for proc in (predecoded, stepped):
         _place_states(proc, program, states)
         exc: Optional[SimulationError] = None
         try:
@@ -250,29 +249,31 @@ def selfcheck_run(program: KeccakProgram,
             exc = err
         results.append(exc)
 
-    exc_fused, exc_stepped = results
-    index = fused.stats.instructions
-    if (exc_fused is None) != (exc_stepped is None) or (
-            exc_fused is not None
-            and type(exc_fused) is not type(exc_stepped)):
+    exc_predecoded, exc_stepped = results
+    index = predecoded.stats.instructions
+    if (exc_predecoded is None) != (exc_stepped is None) or (
+            exc_predecoded is not None
+            and type(exc_predecoded) is not type(exc_stepped)):
         divergences.append(Divergence(
-            index, fused.scalar.pc, "exception",
-            detail=f"fused {type(exc_fused).__name__ if exc_fused else None}"
+            index, predecoded.scalar.pc, "exception",
+            detail=f"predecoded "
+                   f"{type(exc_predecoded).__name__ if exc_predecoded else None}"
                    f" != stepped "
                    f"{type(exc_stepped).__name__ if exc_stepped else None}",
         ))
     else:
-        divergence = _compare_architectural(index, fused.scalar.pc,
-                                            fused, stepped)
+        divergence = _compare_architectural(index, predecoded.scalar.pc,
+                                            predecoded, stepped)
         if divergence is not None:
             divergences.append(divergence)
-        elif exc_fused is None and states and program.num_rounds == 24:
-            out = _read_states(fused, program, len(states))
+        elif exc_predecoded is None and states \
+                and program.num_rounds == 24:
+            out = _read_states(predecoded, program, len(states))
             golden = [keccak_f1600(s) for s in states]
             for lane_index, (got, want) in enumerate(zip(out, golden)):
                 if got != want:
                     divergences.append(Divergence(
-                        index, fused.scalar.pc, "state",
+                        index, predecoded.scalar.pc, "state",
                         lane=lane_index,
                         detail="final state differs from keccak_f1600",
                     ))

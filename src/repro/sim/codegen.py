@@ -17,11 +17,11 @@ specialized Python function:
   folded into the source as literals (a ``viota`` becomes a single XOR
   with a precomputed broadcast constant);
 * cycle/instruction/mnemonic accounting reduced to constant increments
-  applied once at the end, bit-identical to the fused engine's batched
-  ``stats`` flushes.
+  applied once at the end, bit-identical to the predecoded engine's
+  per-instruction ``stats`` records.
 
-Compilation *bails out* (returns None, caller falls back to the fused
-engine) on anything whose semantics the flat function could not
+Compilation *bails out* (returns None, caller falls back to the
+predecoded engine) on anything whose semantics the flat function could not
 reproduce exactly: unknown scalar values (scalar loads, CSR reads),
 masked vector operations, partial register-group tails, misaligned
 groups, out-of-range operands — every case where the generic handlers
@@ -344,7 +344,7 @@ def _generate(processor: "SIMDProcessor", program: "Program",
 
     Returns None when any instruction (or any reachable architectural
     situation) cannot be reproduced exactly by flat code — the caller
-    falls back to the fused engine, which *is* exact.
+    falls back to the predecoded engine, which *is* exact.
     """
     try:
         gen = _Generator(processor, program)
@@ -427,16 +427,16 @@ class _Generator:
             offset = pc - self.base
             index = offset >> 2
             if offset & 3 or not 0 <= index < size:
-                raise _Bail  # would fault: keep the exact fault on fused
+                raise _Bail  # would fault: keep the exact fault on predecoded
             entry = self.decoded[index]
             if entry is None:
-                raise _Bail  # undecodable word: fault on fused
+                raise _Bail  # undecodable word: fault on predecoded
             spec, ops = entry
             mnemonic = spec.mnemonic
             if mnemonic == "vsetvli":
                 self._do_vsetvli(ops)
             elif spec.extension == "zicsr":
-                raise _Bail  # CSRs observe live counters: fused only
+                raise _Bail  # CSRs observe live counters: predecoded only
             elif spec.extension in ("rvv", "custom"):
                 self._do_vector(spec, ops)
             elif mnemonic in ("ecall", "ebreak"):
@@ -526,7 +526,7 @@ class _Generator:
         if m == "fence":
             self._account(m, cm.scalar_alu)
             return None
-        raise _Bail  # scalar loads and everything else: fused only
+        raise _Bail  # scalar loads and everything else: predecoded only
 
     # -- vsetvli -----------------------------------------------------------------
 
@@ -543,7 +543,7 @@ class _Generator:
         try:
             parts = decode_vtype(ops["vtype"])
         except ValueError:
-            raise _Bail  # reserved vtype faults: keep it on fused
+            raise _Bail  # reserved vtype faults: keep it on predecoded
         sew, lmul = parts["sew"], parts["lmul"]
         if sew <= 0 or self.vlen % sew:
             raise _Bail
@@ -558,7 +558,7 @@ class _Generator:
 
     def _geometry(self, lanes_of_five: bool):
         """(per_reg, passes) under the whole-register preconditions the
-        packed emitters need; bails to the fused engine otherwise."""
+        packed emitters need; bails to the predecoded engine otherwise."""
         if self.config_virgin:
             self.initial_config_used = True
         vl, sew = self.vl, self.sew
@@ -644,7 +644,7 @@ class _Generator:
             else:
                 self._vec_store(spec, ops)
         else:
-            raise _Bail  # anything else executes on the fused engine
+            raise _Bail  # anything else executes on the predecoded engine
 
     def _vec_bitwise(self, spec, ops, stem: str) -> None:
         symbol, _ = _BITWISE_OPS[stem]
@@ -906,7 +906,7 @@ class _Generator:
         addresses = [base + i * stride for i in range(self.vl)]
         for address in addresses:
             if address < 0 or address + width_bytes > self.mem_size:
-                raise _Bail  # out-of-bounds access faults on fused
+                raise _Bail  # out-of-bounds access faults on predecoded
         return addresses
 
     def _vec_mem_geometry(self, width: int):

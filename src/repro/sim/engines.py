@@ -1,11 +1,11 @@
 """The execution-engine registry: capability negotiation for ``engine=``.
 
-The ``engine="auto|stepped|predecoded|fused|compiled|soa"`` axis used to
-be an if/else chain inside :meth:`SIMDProcessor._run`; every new backend
-(the SoA batch kernels, a service-side batcher, alternative timing
-models) needed another special case in the processor core.  This module
-replaces that chain with a registry: each backend registers an
-:class:`EngineSpec` declaring *capabilities* —
+The ``engine="auto|stepped|predecoded|compiled|soa|reference"`` axis
+used to be an if/else chain inside :meth:`SIMDProcessor._run`; every new
+backend (the SoA batch kernels, a service-side batcher, alternative
+timing models) needed another special case in the processor core.
+This module replaces that chain with a registry: each backend registers
+an :class:`EngineSpec` declaring *capabilities* —
 
 * can it reproduce per-instruction **tracing**?
 * does it honour **instrumentation** (armed fault injectors, the stepped
@@ -15,7 +15,7 @@ replaces that chain with a registry: each backend registers an
 * does it **own the paper's cycle pins** (i.e. is it cycle-accurate)?
 * is it **functional** — digests only, no per-instruction simulation?
 
-— and ``auto`` selection, the compiled→fused→predecoded→stepped fallback
+— and ``auto`` selection, the compiled→predecoded→stepped fallback
 cascade, and the observability labels all derive from those declarations
 instead of hard-coded names.  A third-party backend registered here runs
 through :meth:`SIMDProcessor.run` without a single edit to
@@ -28,9 +28,9 @@ engine      tracing instrumentation max_cycles batching owns pins functional
 =========== ======= =============== ========== ======== ========= ==========
 stepped     yes     yes             yes        no       yes       no
 predecoded  yes     yes             yes        no       yes       no
-fused       yes     yes             no         no       yes       no
 compiled    no      no              no         no       yes       no
 soa         no      no              no         yes      no        yes
+reference   no      no              no         no       no        yes
 =========== ======= =============== ========== ======== ========= ==========
 
 Two kinds of backend coexist:
@@ -131,7 +131,6 @@ class EngineSpec:
     priority: int = 0
     #: Structural requirements (checked silently, like the old chain).
     requires_predecode: bool = False
-    requires_fuse: bool = False
     #: Meter capability-based skips to the engine's fallback counter
     #: (the compiled engine's ``sim_compiled_fallbacks_total`` story).
     meter_fallbacks: bool = False
@@ -147,7 +146,6 @@ class RunContext:
     instrumented: bool = False
     wants_max_cycles: bool = False
     has_predecode: bool = False
-    fuse_enabled: bool = False
 
 
 @dataclass(frozen=True)
@@ -229,8 +227,6 @@ def _structurally_available(spec: EngineSpec, ctx: RunContext) -> bool:
         return False  # functional engines never run on the processor
     if spec.requires_predecode and not ctx.has_predecode:
         return False
-    if spec.requires_fuse and not ctx.fuse_enabled:
-        return False
     return True
 
 
@@ -240,7 +236,7 @@ def plan(engine: str, ctx: RunContext) -> List[PlanStep]:
     ``auto`` considers every processor engine by descending priority;
     an explicit name starts from that engine and follows its declared
     ``fallback`` links.  Structurally unavailable engines (no predecoded
-    program, fusion disabled, functional-only) are dropped silently —
+    program, functional-only) are dropped silently —
     exactly like the old if/else chain; capability mismatches become
     blocked steps so the processor can meter the fallback reason.
     """
@@ -275,7 +271,7 @@ def note_functional_fallback(spec: EngineSpec, reason: str) -> None:
 #
 # The runner bodies live on SIMDProcessor (they are the hot loops); the
 # specs here only declare capabilities and wire the cascade.  Priorities
-# order the ``auto`` preference: compiled > fused > predecoded > stepped.
+# order the ``auto`` preference: compiled > predecoded > stepped.
 
 
 def _run_stepped(proc, pre, max_instructions, max_cycles):
@@ -284,10 +280,6 @@ def _run_stepped(proc, pre, max_instructions, max_cycles):
 
 def _run_predecoded(proc, pre, max_instructions, max_cycles):
     return proc._run_predecoded(pre, max_instructions, max_cycles)
-
-
-def _run_fused(proc, pre, max_instructions, max_cycles):
-    return proc._run_fused(pre, max_instructions, max_cycles)
 
 
 def _run_compiled(proc, pre, max_instructions, max_cycles):
@@ -311,21 +303,11 @@ register(EngineSpec(
     description="decode-once executor closures, per-instruction dispatch",
 ))
 register(EngineSpec(
-    name="fused",
-    caps=EngineCaps(max_cycles=False, owns_pins=True),
-    runner=_run_fused,
-    fallback="predecoded",
-    priority=30,
-    requires_predecode=True,
-    requires_fuse=True,
-    description="superblock-fused straight-line dispatch",
-))
-register(EngineSpec(
     name="compiled",
     caps=EngineCaps(tracing=False, instrumentation=False,
                     max_cycles=False, owns_pins=True),
     runner=_run_compiled,
-    fallback="fused",
+    fallback="predecoded",
     priority=40,
     requires_predecode=True,
     meter_fallbacks=True,

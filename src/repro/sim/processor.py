@@ -36,7 +36,7 @@ from .exceptions import (
 from . import engines as _engines
 from .lru import LRU
 from .memory import DataMemory
-from .predecode import PredecodedProgram, build_superblocks, predecode
+from .predecode import PredecodedProgram, predecode
 from .scalar_core import ScalarCore
 from .trace import ExecutionStats
 from .vector_unit import VectorUnit
@@ -91,7 +91,6 @@ class SIMDProcessor:
         trace: bool = False,
         isa: InstructionSet = ISA,
         predecode: bool = True,
-        fuse: bool = True,
         engine: str = "auto",
     ) -> None:
         if elen not in (32, 64):
@@ -119,9 +118,8 @@ class SIMDProcessor:
         self._program_words: Dict[int, int] = {}
         self._program: Optional[Program] = None
         self._predecode_enabled = predecode
-        self._fuse_enabled = fuse and predecode
         #: Requested execution engine; ``auto`` resolves per run (the
-        #: compiled kernel when eligible, the fused engine otherwise).
+        #: compiled kernel when eligible, the predecoded engine otherwise).
         self.engine = engine
         #: Count of live instrumentation wrappers on predecoded entries
         #: (armed :class:`~repro.resilience.inject.FaultInjector` specs).
@@ -132,9 +130,9 @@ class SIMDProcessor:
         self._predecode_cache: LRU = LRU(_PREDECODE_CACHE_SIZE)
         #: Fault-injection hook for the *stepped* (non-predecoded) path:
         #: called as ``hook(processor, pc)`` before each instruction
-        #: executes.  Predecoded/fused processors are instrumented by
-        #: wrapping decoded entries instead (see ``repro.resilience``),
-        #: so the fused hot loop never pays for this check.
+        #: executes.  Predecoded processors are instrumented by wrapping
+        #: decoded entries instead (see ``repro.resilience``), so the
+        #: predecoded hot loop never pays for this check.
         self.fault_hook: Optional[
             Callable[["SIMDProcessor", int], None]] = None
 
@@ -221,9 +219,9 @@ class SIMDProcessor:
     def _annotate(self, exc: SimulationError) -> SimulationError:
         """Attach pc/cycle/instruction context as the error unwinds.
 
-        Fused blocks flush their retired prefix and repair ``scalar.pc``
-        before re-raising, so by the time the exception reaches the run
-        loop the architectural counters already sit exactly at the fault.
+        Every engine that can fault retires instruction by instruction,
+        so by the time the exception reaches the run loop the
+        architectural counters already sit exactly at the fault.
         Fields the raise site filled in are preserved.
         """
         pc = self.scalar.pc
@@ -339,13 +337,11 @@ class SIMDProcessor:
             max_cycles: Optional[int] = None) -> ExecutionStats:
         """Run until ecall/ebreak; returns the accumulated statistics.
 
-        With a predecoded program the hot loop dispatches fused
-        superblocks: one call executes a whole straight-line run with a
-        single batched statistics update (see
-        :class:`~repro.sim.predecode.FusedBlock`).  ``max_cycles`` runs
-        and the final approach to ``max_instructions`` fall back to the
-        per-instruction loop so limit errors fire at exactly the same
-        instruction as before.
+        The engine comes from :func:`repro.sim.engines.plan`: untraced,
+        uninstrumented runs take the compiled kernel when it is eligible,
+        everything else the per-instruction predecoded loop (or the
+        stepped reference loop without a predecode), so limit errors
+        fire at exactly the same instruction on every engine.
 
         Any :class:`SimulationError` escaping the run carries structured
         pc/cycle/instruction context (see :meth:`_annotate`).
@@ -362,8 +358,8 @@ class SIMDProcessor:
         The old if/else chain is now :func:`repro.sim.engines.plan`: the
         requested engine (or ``auto``'s priority order) is filtered
         against what this run needs reproduced — tracing, fault hooks,
-        ``max_cycles`` — and against structural availability (predecoded
-        program, fusion).  Capability-blocked steps are metered when the
+        ``max_cycles`` — and against structural availability (a predecoded
+        program).  Capability-blocked steps are metered when the
         engine asks for it (the compiled engine's fallback counter);
         a runner may still decline at run time by returning None.  The
         run counter is bumped *after* the chosen backend actually ran,
@@ -378,7 +374,6 @@ class SIMDProcessor:
             instrumented=bool(self.instrumented),
             wants_max_cycles=max_cycles is not None,
             has_predecode=pre is not None,
-            fuse_enabled=self._fuse_enabled,
         )
         for step in _engines.plan(engine, ctx):
             spec = step.spec
@@ -413,58 +408,11 @@ class SIMDProcessor:
             self.step()
         return self.stats
 
-    def _run_fused(self, pre: PredecodedProgram, max_instructions: int,
-                   max_cycles: Optional[int]) -> ExecutionStats:
-        """Superblock-fused hot loop (the PR 2 default engine)."""
-        superblocks = pre.superblocks
-        if superblocks is None:
-            superblocks = pre.superblocks = build_superblocks(self, pre)
-        blocks = superblocks.blocks
-        margin = superblocks.max_block_len
-        entries = pre.entries
-        base = pre.base_address
-        size = len(entries)
-        scalar = self.scalar
-        stats = self.stats
-        traced = stats.records is not None
-        halt_cycles = self.cycle_model.scalar_alu
-        pc = scalar.pc
-        while not self.halted:
-            if stats.instructions + margin > max_instructions:
-                # Close enough to the limit that a fused block could
-                # overshoot it: finish per-instruction, which raises (or
-                # halts) at exactly the reference point.
-                scalar.pc = pc
-                return self._run_predecoded(pre, max_instructions,
-                                            max_cycles)
-            offset = pc - base
-            index = offset >> 2
-            if offset & 3 or not 0 <= index < size:
-                raise IllegalInstructionError(
-                    f"instruction fetch outside the program at pc={pc:#x}"
-                )
-            block = blocks[index]
-            if block is not None:
-                pc = block.run_traced(stats) if traced \
-                    else block.run(stats)
-            else:
-                # Mid-block pc (an indirect-jump target): single-step it.
-                entry = entries[index]
-                try:
-                    cycles, next_pc = entry.execute()
-                except ProcessorHalted:
-                    self.halted = True
-                    cycles, next_pc = halt_cycles, None
-                stats.record(pc, entry.word, entry.mnemonic, cycles)
-                pc = next_pc if next_pc is not None else pc + 4
-            scalar.pc = pc
-        return stats
-
     def _run_compiled(self, pre: PredecodedProgram,
                       max_instructions: int) -> Optional[ExecutionStats]:
         """Run the whole program as one compiled kernel, if eligible.
 
-        Returns None — and the caller falls back to the fused/stepped
+        Returns None — and the caller falls back to the predecoded/stepped
         engines — whenever flat code could not reproduce the exact
         reference behaviour: tracing (per-instruction records), an armed
         fault injector or fault hook, a pc that is not the program

@@ -293,7 +293,7 @@ class VectorUnit:
         self._rotl64 = rotl_sew64
         return handlers
 
-    # -- compile-time specialization (superblock hot path) ---------------------------
+    # -- compile-time specialization (predecoded hot path) ---------------------------
 
     def _spec_geometry(self, lanes_of_five: bool):
         """(sew, per_reg, passes) when every pass covers a whole register.

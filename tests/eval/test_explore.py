@@ -1,5 +1,6 @@
 """The design-space sweeper: grid construction, measurement, serial vs
-pooled identity, Pareto reduction, artifact schema and the paper pins."""
+pooled identity, Pareto reduction, artifact schema, the paper pins and
+the ``repro sweep`` grid with the fused program."""
 
 import copy
 import json
@@ -14,7 +15,9 @@ from repro.arch.area import (
 )
 from repro.eval.explore import (
     EXPLORE_SCHEMA,
+    FUSED_VARIANT,
     PAPER_PINS,
+    VARIANTS,
     ExplorePoint,
     build_artifact,
     check_pins,
@@ -23,6 +26,8 @@ from repro.eval.explore import (
     explore_grid,
     measure_point,
     pareto_frontier,
+    render_explore,
+    sweep_grid,
     validate_artifact,
     validate_artifact_file,
     write_artifact,
@@ -34,9 +39,21 @@ SMALL_GRID = explore_grid(elenums=(5,), variants=((64, 8),),
                           banks=(1, 2), issue_widths=(1, 2))
 
 
+#: The sweep grid at the paper's three EleNums: 3 paper variants plus
+#: the fused program, default timing (12 points).
+SWEEP_GRID = explore_grid(elenums=(5, 15, 30),
+                          variants=VARIANTS + (FUSED_VARIANT,),
+                          banks=(1,), issue_widths=(1,))
+
+
 @pytest.fixture(scope="module")
 def small_results():
     return explore(SMALL_GRID)
+
+
+@pytest.fixture(scope="module")
+def points():
+    return explore(SWEEP_GRID)
 
 
 class TestGrid:
@@ -60,6 +77,40 @@ class TestGrid:
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             explore_grid(variants=((128, 8),))
+        with pytest.raises(ValueError):
+            explore_grid(variants=((64, 1, True),))  # no fused LMUL=1
+
+    @pytest.mark.parametrize("axis", [
+        "elenums", "variants", "banks", "issue_widths", "chaining"])
+    def test_rejects_empty_axis(self, axis):
+        with pytest.raises(ValueError, match=f"{axis} axis is empty"):
+            explore_grid(**{axis: ()})
+
+    @pytest.mark.parametrize("axis,values", [
+        ("elenums", (5, 5)),
+        ("variants", ((64, 8), (64, 8, False))),
+        ("banks", (1, 2, 1)),
+        ("issue_widths", (2, 2)),
+        ("chaining", (False, False)),
+    ])
+    def test_rejects_repeated_axis_values(self, axis, values):
+        with pytest.raises(ValueError, match=f"{axis} axis repeats"):
+            explore_grid(**{axis: values})
+
+    def test_fused_variant_selects_the_fused_program(self):
+        grid = explore_grid(elenums=(5,), variants=(FUSED_VARIANT,),
+                            banks=(1,), issue_widths=(1,))
+        [point] = grid
+        assert point.fused and (point.elen, point.lmul) == (64, 8)
+        assert point.variant == "64x8f"
+        assert point.label == "64-bit LMUL=8 fused EleNum=5"
+
+    def test_sweep_grid_shape(self):
+        grid = sweep_grid()
+        # EleNum 5..30 step 5 x (3 paper variants + fused), default timing
+        assert len(grid) == 24
+        assert all(p.is_default_timing for p in grid)
+        assert sum(p.fused for p in grid) == 6
 
     def test_points_run_fully_occupied(self):
         for point in explore_grid(elenums=(5, 15)):
@@ -180,6 +231,16 @@ class TestArtifact:
         problems = check_pins(doc)
         assert problems and "1893 != paper pin 1892" in problems[0]
 
+    def test_check_pins_skips_fused_rows(self, points):
+        doc = build_artifact(points)
+        fused = [row for row in doc["points"] if row["fused"]]
+        assert fused and all(row["permutation_cycles"] == 1172
+                             for row in fused)
+        assert "64x8f" in doc["axes"]["variant"]
+        assert check_pins(doc) == []
+        only_fused = dict(doc, points=fused)
+        assert check_pins(only_fused) == []
+
     def test_check_pins_requires_default_row_per_variant(
             self, small_results):
         doc = copy.deepcopy(build_artifact(small_results))
@@ -226,3 +287,81 @@ class TestPareto:
     def test_frontier_sorted_by_area(self, small_results):
         areas = [r.area_slices for r in pareto_frontier(small_results)]
         assert areas == sorted(areas)
+
+
+class TestSweep:
+    """The default-timing sweep with the fused program (``repro sweep``)."""
+
+    def test_point_count(self, points):
+        # 3 EleNums x (3 paper configs + 1 fused).
+        assert len(points) == 12
+
+    def test_latency_constant_across_elenum(self, points):
+        for lmul, elen in ((1, 64), (8, 64), (8, 32)):
+            rounds = {p.cycles_per_round for p in points
+                      if p.point.lmul == lmul and p.point.elen == elen
+                      and not p.point.fused}
+            assert len(rounds) == 1
+
+    def test_throughput_scales_with_states(self, points):
+        lmul8_64 = sorted(
+            (p for p in points if p.point.elen == 64 and p.point.lmul == 8
+             and not p.point.fused),
+            key=lambda p: p.point.num_states,
+        )
+        base = lmul8_64[0].throughput_e3
+        for p in lmul8_64:
+            assert p.throughput_e3 == pytest.approx(
+                base * p.point.num_states, rel=0.001)
+
+    def test_fused_fastest_at_every_elenum(self, points):
+        for elenum in (5, 15, 30):
+            group = [p for p in points if p.point.elenum == elenum]
+            best = max(group, key=lambda p: p.throughput_e3)
+            assert best.point.fused
+
+    def test_fused_cycles(self, points):
+        fused = [p for p in points if p.point.fused]
+        assert len(fused) == 3
+        assert all(p.cycles_per_round == 45 for p in fused)
+        assert all(p.permutation_cycles == 1172 for p in fused)
+
+    def test_paper_variants_exclude_fused(self):
+        grid = explore_grid(elenums=(5,), banks=(1,), issue_widths=(1,))
+        assert len(grid) == 3
+        assert not any(p.fused for p in grid)
+
+    def test_efficiency_metric(self, points):
+        p = points[0]
+        assert p.throughput_per_kslice == pytest.approx(
+            1000 * p.throughput_e3 / p.area_slices)
+
+
+class TestSweepPareto:
+    def test_frontier_subset(self, points):
+        frontier = pareto_frontier(points)
+        labels = {p.point.label for p in points}
+        assert {p.point.label for p in frontier} <= labels
+        assert frontier
+
+    def test_frontier_sorted_by_area(self, points):
+        areas = [p.area_slices for p in pareto_frontier(points)]
+        assert areas == sorted(areas)
+
+    def test_no_point_dominates_frontier_member(self, points):
+        for f in pareto_frontier(points):
+            for p in points:
+                dominates = (p.throughput_e3 > f.throughput_e3
+                             and p.area_slices <= f.area_slices)
+                assert not dominates, (p.point.label, f.point.label)
+
+    def test_fused_on_frontier(self, points):
+        assert any(p.point.fused for p in pareto_frontier(points))
+
+
+class TestSweepRendering:
+    def test_render(self, points):
+        text = render_explore(points)
+        assert "Design-space exploration" in text
+        assert "tput/kslice" in text
+        assert "64-bit LMUL=8 fused" in text

@@ -51,7 +51,7 @@ class TestReference:
         assert "## RV32I" not in text
 
     def test_reference_without_fused(self):
-        text = render_isa_reference(build_isa(include_fused=False))
+        text = render_isa_reference(build_isa(fused_extensions=False))
         assert "vrhopi" not in text
         assert "vpi.vi" in text
 

@@ -22,7 +22,7 @@ class TestRegistry:
         assert len(CUSTOM_SPECS) == 10
 
     def test_baseline_isa_excludes_fused(self):
-        baseline = build_isa(include_fused=False)
+        baseline = build_isa(fused_extensions=False)
         assert "vrhopi.vi" not in baseline
         assert "vchi.vi" not in baseline
         assert "vpi.vi" in baseline

@@ -99,18 +99,6 @@ class TestSimCounters:
         assert fallbacks.value(reason="traced") == 1
         assert armed.get("sim_runs_total").value(engine="compiled") == 0
 
-    def test_superblock_occupancy_gauge(self, armed):
-        # Superblocks are built lazily on the fused path; the auto
-        # engine would compile this program and never touch them.
-        program = build_program(64, 8, 5)
-        Session(engine="fused").run(program, [])
-        fraction = metrics.registry().get("sim_superblock_fused_fraction")
-        value = fraction.value(geometry="64x5")
-        assert 0.0 < value <= 1.0
-        [series] = armed.get("sim_superblock_length").snapshot()["series"]
-        assert series["labels"] == {"geometry": "64x5"}
-        assert series["value"]["count"] > 0
-
     def test_codegen_events_are_mirrored(self, armed):
         from repro.sim.codegen import COMPILE_STATS
 

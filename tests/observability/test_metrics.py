@@ -24,10 +24,10 @@ def registry():
 class TestCounter:
     def test_inc_and_value(self, registry):
         runs = registry.counter("runs", "total runs", ("engine",))
-        runs.inc(engine="fused")
-        runs.inc(2, engine="fused")
+        runs.inc(engine="predecoded")
+        runs.inc(2, engine="predecoded")
         runs.inc(engine="compiled")
-        assert runs.value(engine="fused") == 3
+        assert runs.value(engine="predecoded") == 3
         assert runs.value(engine="compiled") == 1
         assert runs.value(engine="stepped") == 0
 
@@ -75,7 +75,7 @@ class TestHistogram:
         with pytest.raises(ValueError):
             registry.histogram("bad", buckets=(2.0, 1.0))
 
-    def test_count_buckets_cover_superblock_lengths(self):
+    def test_count_buckets_cover_batch_sizes(self):
         assert COUNT_BUCKETS[0] == 1 and COUNT_BUCKETS[-1] >= 256
 
 
@@ -97,27 +97,28 @@ class TestRegistry:
 
     def test_reset_keeps_family_references_valid(self, registry):
         runs = registry.counter("runs", "", ("engine",))
-        runs.inc(engine="fused")
+        runs.inc(engine="predecoded")
         registry.reset()
-        assert runs.value(engine="fused") == 0
-        runs.inc(engine="fused")  # the old reference still records
-        assert registry.get("runs").value(engine="fused") == 1
+        assert runs.value(engine="predecoded") == 0
+        runs.inc(engine="predecoded")  # the old reference still records
+        assert registry.get("runs").value(engine="predecoded") == 1
 
     def test_snapshot_is_plain_data(self, registry):
-        registry.counter("runs", "", ("engine",)).inc(engine="fused")
+        registry.counter("runs", "", ("engine",)).inc(engine="predecoded")
         registry.histogram("lat").observe(0.2)
         registry.gauge("g").set(7)
         snap = registry.snapshot()
         assert pickle.loads(pickle.dumps(snap)) == snap
         assert snap["runs"]["series"] == [
-            {"labels": {"engine": "fused"}, "value": 1}
+            {"labels": {"engine": "predecoded"}, "value": 1}
         ]
 
 
 class TestMerge:
     def _worker_snapshot(self, inc_by):
         worker = MetricsRegistry()
-        worker.counter("runs", "", ("engine",)).inc(inc_by, engine="fused")
+        worker.counter("runs", "", ("engine",)).inc(
+            inc_by, engine="predecoded")
         worker.gauge("peak").set(inc_by)
         h = worker.histogram("lat", buckets=(0.1, 1.0))
         h.observe(0.05)
@@ -132,16 +133,16 @@ class TestMerge:
         for snap in reversed(snaps):
             backward.merge(snap)
         assert forward.snapshot() == backward.snapshot()
-        assert forward.get("runs").value(engine="fused") == 6
+        assert forward.get("runs").value(engine="predecoded") == 6
         assert forward.get("peak").value() == 3  # gauges take the max
         [series] = forward.get("lat").snapshot()["series"]
         assert series["value"]["count"] == 6
 
     def test_merge_into_populated_registry_adds(self):
         parent = MetricsRegistry()
-        parent.counter("runs", "", ("engine",)).inc(5, engine="fused")
+        parent.counter("runs", "", ("engine",)).inc(5, engine="predecoded")
         parent.merge(self._worker_snapshot(2))
-        assert parent.get("runs").value(engine="fused") == 7
+        assert parent.get("runs").value(engine="predecoded") == 7
 
     def test_merge_bucket_mismatch_raises(self):
         parent = MetricsRegistry()
@@ -159,17 +160,17 @@ class TestDelta:
     def test_counter_and_histogram_delta(self, registry):
         c = registry.counter("runs", "", ("engine",))
         h = registry.histogram("lat", buckets=(1.0,))
-        c.inc(2, engine="fused")
+        c.inc(2, engine="predecoded")
         h.observe(0.5)
         before = registry.snapshot()
-        c.inc(3, engine="fused")
+        c.inc(3, engine="predecoded")
         c.inc(engine="compiled")
         h.observe(2.0)
         after = registry.snapshot()
         d = delta(before, after)
         values = {tuple(e["labels"].items()): e["value"]
                   for e in d["runs"]["series"]}
-        assert values[(("engine", "fused"),)] == 3
+        assert values[(("engine", "predecoded"),)] == 3
         assert values[(("engine", "compiled"),)] == 1
         [series] = d["lat"]["series"]
         assert series["value"]["counts"] == [0, 1]
@@ -184,10 +185,10 @@ class TestDelta:
 
 def test_render_snapshot_mentions_series():
     registry = MetricsRegistry()
-    registry.counter("runs", "", ("engine",)).inc(4, engine="fused")
+    registry.counter("runs", "", ("engine",)).inc(4, engine="predecoded")
     registry.histogram("lat").observe(0.25)
     text = render_snapshot(registry.snapshot())
-    assert "runs" in text and "engine=fused" in text and "4" in text
+    assert "runs" in text and "engine=predecoded" in text and "4" in text
     assert "count=1" in text
     assert render_snapshot(MetricsRegistry().snapshot()) \
         == "(no metrics recorded)"
@@ -196,12 +197,12 @@ def test_render_snapshot_mentions_series():
 class TestRenderPrometheus:
     def test_counter_and_gauge_samples(self, registry):
         registry.counter("runs_total", "total runs",
-                         ("engine",)).inc(4, engine="fused")
+                         ("engine",)).inc(4, engine="predecoded")
         registry.gauge("depth", "queue depth").set(3)
         text = render_prometheus(registry.snapshot())
         assert "# HELP runs_total total runs" in text
         assert "# TYPE runs_total counter" in text
-        assert 'runs_total{engine="fused"} 4' in text
+        assert 'runs_total{engine="predecoded"} 4' in text
         assert "# TYPE depth gauge" in text
         assert "depth 3" in text.splitlines()
 

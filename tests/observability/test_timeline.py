@@ -17,14 +17,14 @@ def _no_active_timeline():
 def test_complete_event_format():
     tl = timeline.Timeline()
     tl.complete("run", start=0.001, duration=0.002, tid=3,
-                args={"engine": "fused"})
+                args={"engine": "predecoded"})
     [event] = tl.events
     assert event["ph"] == "X"
     assert event["name"] == "run"
     assert event["ts"] == pytest.approx(1000.0)   # µs
     assert event["dur"] == pytest.approx(2000.0)
     assert event["tid"] == 3
-    assert event["args"] == {"engine": "fused"}
+    assert event["args"] == {"engine": "predecoded"}
 
 
 def test_instant_and_lane_labels():

@@ -46,7 +46,7 @@ class TestSessionOverride:
         assert runs.value(engine="stepped") == 0
 
     def test_override_respected_for_its_own_run(self, random_state):
-        session = Session(engine="fused")
+        session = Session(engine="predecoded")
         program = build_program(64, 8, 5)
         metrics.arm()
         try:
@@ -59,7 +59,7 @@ class TestSessionOverride:
         assert runs.value(engine="stepped") == 1
 
     def test_engine_restored_when_run_raises(self, monkeypatch):
-        session = Session(engine="fused")
+        session = Session(engine="predecoded")
         program = build_program(64, 8, 5)
         proc = session.processor(64, 5)
 
@@ -69,7 +69,7 @@ class TestSessionOverride:
         monkeypatch.setattr(session_module, "_execute", boom)
         with pytest.raises(RuntimeError):
             session.run(program, [], engine="stepped")
-        assert proc.engine == "fused"
+        assert proc.engine == "predecoded"
 
     def test_invalid_override_rejected_before_any_state_change(self):
         session = Session()

@@ -32,8 +32,7 @@ def _round_body_pcs():
 
 MODES = {
     "stepped": dict(predecode=False),
-    "predecoded": dict(predecode=True, fuse=False),
-    "fused": dict(predecode=True, fuse=True),
+    "predecoded": dict(predecode=True),
 }
 
 

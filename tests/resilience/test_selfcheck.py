@@ -53,7 +53,7 @@ class TestDivergenceLocalization:
         assert "lane 1" in str(divergence)
 
     def test_planted_fault_caught_by_whole_run_oracle(self, random_states):
-        # An injected flip must surface as a fused-vs-clean divergence
+        # An injected flip must surface as a faulted-vs-clean divergence
         # when the faulted output is compared against the golden model.
         program = build_program(64, 8, elenum=5)
         states = random_states(1)

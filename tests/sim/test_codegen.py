@@ -1,9 +1,9 @@
 """The AOT code-generation engine: bit-exactness, caching, fallback.
 
-The compiled engine must be *indistinguishable* from the fused/stepped
-reference engines on everything architectural — final states, cycle and
-instruction counters, per-mnemonic statistics — while being allowed to
-skip only what nobody can observe (per-step dispatch).  These tests pin
+The compiled engine must be *indistinguishable* from the
+predecoded/stepped reference engines on everything architectural —
+final states, cycle and instruction counters, per-mnemonic statistics —
+while being allowed to skip only what nobody can observe (per-step dispatch).  These tests pin
 that equivalence across the three paper programs, exercise both cache
 layers (including deliberately corrupted/stale disk entries), and verify
 the fallback rule: tracing, fault injection and instruction limits all
@@ -52,7 +52,7 @@ def _assert_stats_identical(a, b):
 
 
 class TestDifferentialMatrix:
-    """compiled vs fused vs stepped on all programs and batch sizes."""
+    """compiled vs predecoded vs stepped on all programs and batch sizes."""
 
     @pytest.mark.parametrize("elen,lmul", ARCHS)
     @pytest.mark.parametrize("sn", (1, 3, 6))
@@ -62,7 +62,7 @@ class TestDifferentialMatrix:
         reference = [keccak_f1600(s) for s in states]
         compiled = _engine_run(program, states, "compiled")
         assert compiled.states == reference
-        for engine in ("fused", "stepped"):
+        for engine in ("predecoded", "stepped"):
             other = _engine_run(program, states, engine)
             assert other.states == compiled.states
             _assert_stats_identical(compiled.stats, other.stats)
@@ -72,14 +72,14 @@ class TestDifferentialMatrix:
         program = build_program(elen, lmul, 30, include_memory_io=True)
         states = random_states(3)
         compiled = _engine_run(program, states, "compiled")
-        fused = _engine_run(program, states, "fused")
-        assert compiled.states == fused.states
+        predecoded = _engine_run(program, states, "predecoded")
+        assert compiled.states == predecoded.states
         assert compiled.states == [keccak_f1600(s) for s in states]
-        _assert_stats_identical(compiled.stats, fused.stats)
+        _assert_stats_identical(compiled.stats, predecoded.stats)
 
     def test_compiled_engine_actually_compiles(self, random_states):
         # Guard against the matrix silently passing because every run
-        # fell back to fused: the kernel cache must fill.
+        # fell back to predecoded: the kernel cache must fill.
         program = build_program(64, 8, 30)
         before = codegen.COMPILE_STATS["compiles"]
         _engine_run(program, random_states(2), "compiled")
@@ -90,14 +90,14 @@ class TestPaperPins:
     """Paper cycle totals survive the compiled engine bit-for-bit."""
 
     @pytest.mark.parametrize("elen,lmul,total,per_round", PAPER_PINS)
-    def test_compiled_cycles_match_fused(self, elen, lmul, total,
-                                         per_round, random_states):
+    def test_compiled_cycles_match_predecoded(self, elen, lmul, total,
+                                              per_round, random_states):
         program = build_program(elen, lmul, 5)
         states = random_states(1)
         session = Session(engine="compiled")
         compiled = session.run(program, states)
-        fused = _engine_run(program, states, "fused")
-        _assert_stats_identical(compiled.stats, fused.stats)
+        predecoded = _engine_run(program, states, "predecoded")
+        _assert_stats_identical(compiled.stats, predecoded.stats)
         # Tracing falls back to the reference engines transparently and
         # still reports the paper's permutation pins.
         traced = session.run(program, states, trace=True)
@@ -135,7 +135,7 @@ class TestDiskCache:
     def test_corrupted_entry_recompiles_never_wrong(self, random_states):
         program = self._program()
         states = random_states(1)
-        expected = _engine_run(program, states, "fused")
+        expected = _engine_run(program, states, "predecoded")
         _engine_run(program, states, "compiled")
         [name] = self._cache_files()
         path = os.path.join(codegen.cache_dir(), name)
@@ -229,15 +229,16 @@ class TestFallback:
         layout.load_states_regfile64(proc.vector.regfile, [random_state])
         return proc, assembled
 
-    def test_traced_run_matches_fused_records(self, random_states):
+    def test_traced_run_matches_predecoded_records(self, random_states):
         program = build_program(64, 8, 5)
         states = random_states(1)
         compiled = Session(engine="compiled").run(program, states,
                                                   trace=True)
-        fused = Session(engine="fused").run(program, states, trace=True)
+        predecoded = Session(engine="predecoded").run(program, states,
+                                                      trace=True)
         assert compiled.stats.records  # the fallback actually recorded
-        assert len(compiled.stats.records) == len(fused.stats.records)
-        for ra, rb in zip(compiled.stats.records, fused.stats.records):
+        assert len(compiled.stats.records) == len(predecoded.stats.records)
+        for ra, rb in zip(compiled.stats.records, predecoded.stats.records):
             assert (ra.pc, ra.word, ra.mnemonic, ra.cycles) == \
                    (rb.pc, rb.word, rb.mnemonic, rb.cycles)
 
@@ -299,7 +300,7 @@ class TestFallback:
 
     def test_instruction_limit_fires_at_reference_point(self, random_state):
         results = []
-        for engine in ("compiled", "fused"):
+        for engine in ("compiled", "predecoded"):
             proc, _ = self._prepared(random_state, engine=engine)
             with pytest.raises(ExecutionLimitExceeded):
                 proc.run(max_instructions=500)
@@ -329,10 +330,10 @@ class TestEngineSelection:
     def test_per_run_engine_overrides_session_default(self, random_states):
         program = build_program(64, 8, 5)
         states = random_states(1)
-        session = Session(engine="fused")
+        session = Session(engine="predecoded")
         before = codegen.COMPILE_STATS["compiles"]
         session.run(program, states)
-        assert codegen.COMPILE_STATS["compiles"] == before  # fused run
+        assert codegen.COMPILE_STATS["compiles"] == before  # predecoded run
         session.run(program, states, engine="compiled")
         assert codegen.COMPILE_STATS["compiles"] == before + 1
 
@@ -346,6 +347,6 @@ class TestEngineSelection:
         program = build_program(64, 8, 5)
         states = random_states(1)
         stepped = Session(engine="stepped").run(program, states)
-        fused = Session(engine="fused").run(program, states)
-        assert stepped.states == fused.states
-        _assert_stats_identical(stepped.stats, fused.stats)
+        predecoded = Session(engine="predecoded").run(program, states)
+        assert stepped.states == predecoded.states
+        _assert_stats_identical(stepped.stats, predecoded.stats)

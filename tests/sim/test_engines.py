@@ -51,7 +51,7 @@ def _spec(name, **overrides):
 class TestRegistry:
     def test_builtin_names_and_shims(self):
         assert engines.names() == (
-            "auto", "stepped", "predecoded", "fused", "compiled", "soa",
+            "auto", "stepped", "predecoded", "compiled", "soa",
             "reference")
         assert processor_module.ENGINES == engines.names()
         assert sim.ENGINES == engines.names()
@@ -59,6 +59,19 @@ class TestRegistry:
         with pytest.raises(ValueError) as excinfo:
             validate_engine("warp")
         assert "soa" in str(excinfo.value)  # error lists live names
+
+    def test_removed_fused_engine_is_unknown(self):
+        # The superblock engine is gone: asking for it takes the
+        # ordinary unknown-engine path, which lists the live names.
+        with pytest.raises(ValueError) as excinfo:
+            Session(engine="fused")
+        assert str(engines.names()) in str(excinfo.value)
+        proc = SIMDProcessor(elen=64, elenum=5)
+        proc.load_program(build_program(64, 8, 5).assemble())
+        proc.engine = "fused"
+        with pytest.raises(ValueError) as excinfo:
+            proc.run()
+        assert str(engines.names()) in str(excinfo.value)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
@@ -84,59 +97,56 @@ class TestRegistry:
         assert reference.caps.functional
         assert reference.digest_batch is not None
         assert not reference.caps.owns_pins
-        for name in ("stepped", "predecoded", "fused"):
+        for name in ("stepped", "predecoded"):
             assert engines.get(name).caps.owns_pins
             assert engines.get(name).caps.tracing
 
 
 class TestPlanning:
     def test_auto_prefers_compiled_when_unconstrained(self):
-        ctx = engines.RunContext(has_predecode=True, fuse_enabled=True)
+        ctx = engines.RunContext(has_predecode=True)
         steps = engines.plan("auto", ctx)
         assert [s.spec.name for s in steps] == [
-            "compiled", "fused", "predecoded", "stepped"]
+            "compiled", "predecoded", "stepped"]
         assert all(s.blocked is None for s in steps)
 
     def test_tracing_blocks_compiled_with_a_reason(self):
-        ctx = engines.RunContext(traced=True, has_predecode=True,
-                                 fuse_enabled=True)
+        ctx = engines.RunContext(traced=True, has_predecode=True)
         steps = engines.plan("auto", ctx)
         blocked = {s.spec.name: s.blocked for s in steps}
         assert blocked["compiled"] == "traced"
-        assert blocked["fused"] is None
-
-    def test_max_cycles_blocks_fused_and_compiled(self):
-        ctx = engines.RunContext(wants_max_cycles=True,
-                                 has_predecode=True, fuse_enabled=True)
-        blocked = {s.spec.name: s.blocked
-                   for s in engines.plan("auto", ctx)}
-        assert blocked["compiled"] == "max_cycles"
-        assert blocked["fused"] == "max_cycles"
         assert blocked["predecoded"] is None
 
+    def test_max_cycles_blocks_compiled(self):
+        ctx = engines.RunContext(wants_max_cycles=True,
+                                 has_predecode=True)
+        blocked = {s.spec.name: s.blocked
+                   for s in engines.plan("auto", ctx)}
+        assert blocked == {"compiled": "max_cycles", "predecoded": None,
+                           "stepped": None}
+
     def test_structural_gaps_drop_silently(self):
-        # No predecoded program: only the stepped engine is available.
+        # No predecoded program: only the stepped engine is available,
+        # whether requested by auto or through compiled's fallback.
         ctx = engines.RunContext()
         assert [s.spec.name for s in engines.plan("auto", ctx)] \
             == ["stepped"]
-        # Fusion off: the fused engine vanishes from the cascade.
-        ctx = engines.RunContext(has_predecode=True, fuse_enabled=False)
         assert [s.spec.name for s in engines.plan("compiled", ctx)] \
-            == ["compiled", "predecoded", "stepped"]
+            == ["stepped"]
 
     def test_explicit_engine_follows_fallback_chain(self):
-        ctx = engines.RunContext(has_predecode=True, fuse_enabled=True)
+        ctx = engines.RunContext(has_predecode=True)
+        assert [s.spec.name for s in engines.plan("compiled", ctx)] == [
+            "compiled", "predecoded", "stepped"]
         assert [s.spec.name for s in engines.plan("soa", ctx)] == [
-            "compiled", "fused", "predecoded", "stepped"]  # soa: functional
+            "compiled", "predecoded", "stepped"]  # soa: functional
 
     def test_fault_hook_and_instrumentation_reasons(self):
-        ctx = engines.RunContext(has_fault_hook=True, has_predecode=True,
-                                 fuse_enabled=True)
+        ctx = engines.RunContext(has_fault_hook=True, has_predecode=True)
         blocked = {s.spec.name: s.blocked
                    for s in engines.plan("compiled", ctx)}
         assert blocked["compiled"] == "fault_hook"
-        ctx = engines.RunContext(instrumented=True, has_predecode=True,
-                                 fuse_enabled=True)
+        ctx = engines.RunContext(instrumented=True, has_predecode=True)
         blocked = {s.spec.name: s.blocked
                    for s in engines.plan("compiled", ctx)}
         assert blocked["compiled"] == "instrumented"
@@ -155,14 +165,14 @@ class TestRunMetering:
 
     def test_declined_engine_is_never_counted_as_run(self, armed,
                                                      random_state):
-        # Tracing pushes a compiled request onto fused: exactly one run,
-        # labeled fused, plus one metered fallback reason.
+        # Tracing pushes a compiled request onto predecoded: exactly one
+        # run, labeled predecoded, plus one metered fallback reason.
         program = build_program(64, 8, 5)
         Session(engine="compiled").run(program, [random_state],
                                        trace=True)
         runs = armed.get("sim_runs_total")
         assert runs.value(engine="compiled") == 0
-        assert runs.value(engine="fused") == 1
+        assert runs.value(engine="predecoded") == 1
         fallbacks = armed.get("sim_compiled_fallbacks_total")
         assert fallbacks.value(reason="traced") == 1
 

@@ -106,7 +106,7 @@ class TestPredecodeCacheEviction:
         # More distinct programs than the cache holds: the first is
         # evicted, re-loading it re-predecodes, and the run is still
         # bit-exact against the reference permutation.
-        proc = SIMDProcessor(elen=64, elenum=5, engine="fused")
+        proc = SIMDProcessor(elen=64, elenum=5, engine="predecoded")
         programs = [
             keccak64_lmul8.build(5, num_rounds=r).assemble()
             for r in range(1, _PREDECODE_CACHE_SIZE + 3)

@@ -1,19 +1,22 @@
-"""Mid-block faults: fused execution must fail exactly like stepped.
+"""Mid-run faults: predecoded execution must fail exactly like stepped.
 
-The fused dispatch contract says that when an interior executor raises,
-the retired prefix is flushed (instructions, cycles, per-mnemonic
-counters) and the scalar pc is repaired to the faulting instruction
-before the exception propagates.  These tests force a fault at *every*
-instruction offset of a real fused superblock — the 25-instruction
-straight-line run of the Keccak round body — and assert that the
-architecturally visible failure state is identical to per-instruction
-(``predecode=False``) execution: same retired count, same cycle count,
-same pc, same exception context.
+When an executor raises, every counter a handler can see (retired
+instructions, cycles, per-mnemonic counts) and the scalar pc must sit
+exactly at the faulting instruction.  These tests force a fault at
+*every* instruction offset of a Keccak round body's straight-line run
+— from ``round_body`` through the loop branch — and assert that the
+architecturally visible failure state on the predecoded engine is
+identical to per-instruction (``predecode=False``) execution: same
+retired count, same cycle count, same pc, same exception context.
+
+Two programs are covered: the unfused LMUL=8 program of Algorithm 2 and
+the fused ρ+π/χ program (``vrhopi.vi``/``vchi.vi``), whose custom
+multi-row instructions are the longest-running single executors.
 """
 
 import pytest
 
-from repro.programs import keccak64_lmul8, layout
+from repro.programs import keccak64_fused, keccak64_lmul8, layout
 from repro.resilience import FaultInjector, FaultSpec
 from repro.sim import SIMDProcessor
 from repro.sim.exceptions import (
@@ -21,29 +24,33 @@ from repro.sim.exceptions import (
     MemoryAccessError,
     SimulationError,
 )
-from repro.sim.predecode import build_superblocks
 
-PROGRAM = keccak64_lmul8.build(5)
-ASSEMBLED = PROGRAM.assemble()
-
-
-def _longest_block():
-    probe = SIMDProcessor(elen=64, elenum=5)
-    probe.load_program(ASSEMBLED)
-    blocks = build_superblocks(probe, probe._predecoded).blocks
-    best = max((b for b in blocks if b is not None),
-               key=lambda b: b.length)
-    return best.start_pc, best.length
+ASSEMBLED = keccak64_lmul8.build(5).assemble()
+FUSED_ASSEMBLED = keccak64_fused.build(5).assemble()
+BRANCHES = {"beq", "bne", "blt", "bge", "bltu", "bgeu", "jal", "jalr"}
 
 
-BLOCK_START, BLOCK_LEN = _longest_block()
-OFFSETS = range(BLOCK_LEN)
+def _round_body_run(assembled):
+    """(start pc, length) of the round body up to its first branch."""
+    start = assembled.symbols["round_body"]
+    length = 0
+    for inst in assembled.instructions:
+        if inst.address < start:
+            continue
+        length += 1
+        if inst.mnemonic in BRANCHES:
+            break
+    return start, length
+
+
+RUN_START, RUN_LEN = _round_body_run(ASSEMBLED)
+FUSED_START, FUSED_LEN = _round_body_run(FUSED_ASSEMBLED)
 EXCEPTIONS = (MemoryAccessError, IllegalInstructionError)
 
 
-def _fresh(random_state, **kwargs):
+def _fresh(random_state, assembled=ASSEMBLED, **kwargs):
     proc = SIMDProcessor(elen=64, elenum=5, **kwargs)
-    proc.load_program(ASSEMBLED)
+    proc.load_program(assembled)
     layout.load_states_regfile64(proc.vector.regfile, [random_state])
     return proc
 
@@ -68,46 +75,51 @@ def _fail_state(proc, spec):
     }
 
 
+def _assert_parity(random_state, assembled, pc, exception):
+    spec = FaultSpec("raise", pc=pc, exception=exception)
+    predecoded = _fail_state(_fresh(random_state, assembled), spec)
+    stepped = _fail_state(
+        _fresh(random_state, assembled, predecode=False), spec)
+    assert predecoded["type"] is exception
+    assert predecoded["exc_pc"] == pc
+    assert predecoded == stepped
+
+
 class TestMidblockFaultParity:
-    def test_block_is_genuinely_fused(self):
-        """The target block must be long enough to make interior faults
-        meaningful (not a degenerate one-instruction block)."""
-        assert BLOCK_LEN >= 8
-        lo = ASSEMBLED.symbols["round_body"]
-        hi = ASSEMBLED.symbols["round_end"]
-        assert lo <= BLOCK_START < hi
+    @pytest.mark.parametrize("assembled", [ASSEMBLED, FUSED_ASSEMBLED],
+                             ids=["unfused", "fused"])
+    def test_run_spans_the_round_body(self, assembled):
+        """The run is long enough to make interior faults meaningful and
+        ends at the loop branch, past ``round_end``."""
+        start, length = _round_body_run(assembled)
+        assert length >= 8
+        end = start + 4 * (length - 1)
+        assert end >= assembled.symbols["round_end"]
+
+    @pytest.mark.parametrize("offset", range(RUN_LEN))
+    def test_predecoded_unfused_matches_stepped(self, offset, random_state):
+        """Every offset of the unfused LMUL=8 round body, both fault
+        types."""
+        for exception in EXCEPTIONS:
+            _assert_parity(random_state, ASSEMBLED,
+                           RUN_START + 4 * offset, exception)
 
     @pytest.mark.parametrize("exception", EXCEPTIONS,
                              ids=lambda e: e.__name__)
-    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("offset", range(FUSED_LEN))
     def test_fused_matches_stepped_at_every_offset(self, offset, exception,
                                                    random_state):
-        pc = BLOCK_START + 4 * offset
-        spec = FaultSpec("raise", pc=pc, exception=exception)
-        fused = _fail_state(_fresh(random_state), spec)
-        stepped = _fail_state(_fresh(random_state, predecode=False), spec)
-        assert fused["type"] is exception
-        assert fused["exc_pc"] == pc
-        assert fused == stepped
+        """Every offset of the fused ρ+π/χ program's round body."""
+        _assert_parity(random_state, FUSED_ASSEMBLED,
+                       FUSED_START + 4 * offset, exception)
 
-    @pytest.mark.parametrize("offset", [0, BLOCK_LEN // 2, BLOCK_LEN - 1])
+    @pytest.mark.parametrize("offset", [0, RUN_LEN // 2, RUN_LEN - 1])
     def test_parity_holds_across_loop_iterations(self, offset, random_state):
-        """Occurrence 3 faults on the third round: the flushed counters
-        must include two complete rounds plus the partial block."""
-        pc = BLOCK_START + 4 * offset
+        """Occurrence 3 faults on the third round: the counters must
+        include two complete rounds plus the partial run."""
+        pc = RUN_START + 4 * offset
         spec = FaultSpec("raise", pc=pc, occurrence=3,
                          exception=MemoryAccessError)
-        fused = _fail_state(_fresh(random_state), spec)
-        stepped = _fail_state(_fresh(random_state, predecode=False), spec)
-        assert fused == stepped
-
-    @pytest.mark.parametrize("offset", [1, BLOCK_LEN - 1])
-    def test_predecoded_unfused_matches_stepped(self, offset, random_state):
-        """The middle engine (predecoded, fuse=False) obeys the same
-        contract — it retires per-instruction, so this pins the baseline
-        the fused flush is compared against."""
-        pc = BLOCK_START + 4 * offset
-        spec = FaultSpec("raise", pc=pc, exception=IllegalInstructionError)
-        predecoded = _fail_state(_fresh(random_state, fuse=False), spec)
+        predecoded = _fail_state(_fresh(random_state), spec)
         stepped = _fail_state(_fresh(random_state, predecode=False), spec)
         assert predecoded == stepped

@@ -90,27 +90,29 @@ class TestDifferential:
         assert results[0][0] == keccak_f1600(state)
 
 
-class TestSuperblocks:
-    """Fused-superblock execution vs per-instruction predecoded execution.
+class TestEngineParity:
+    """The ``auto`` engine vs per-instruction predecoded execution.
 
-    Superblock fusion batches the cycle/instruction accounting per
-    straight-line block; every observable — states, totals, per-mnemonic
-    counts and cycles, and the full trace — must stay bit-identical to
-    stepping the same predecoded entries one at a time.
+    Untraced ``auto`` runs take the compiled kernel, which accounts
+    cycles and instructions once per run; every observable — states,
+    totals, per-mnemonic counts and cycles, and the full trace — must
+    stay bit-identical to stepping the same predecoded entries one at a
+    time.
     """
 
     @pytest.mark.parametrize("trace", [True, False],
                              ids=["traced", "untraced"])
     @pytest.mark.parametrize("name,module", VARIANTS)
-    def test_fused_vs_per_instruction(self, name, module, trace):
+    def test_auto_vs_per_instruction(self, name, module, trace):
         program = module.build(5)
         states = _states(1)
-        fused = SIMDProcessor(elen=program.elen, elenum=program.elenum,
-                              trace=trace)
-        stepped = SIMDProcessor(elen=program.elen, elenum=program.elenum,
-                                trace=trace, fuse=False)
-        a = run_keccak_program(program, states, processor=fused)
-        b = run_keccak_program(program, states, processor=stepped)
+        auto = SIMDProcessor(elen=program.elen, elenum=program.elenum,
+                             trace=trace)
+        predecoded = SIMDProcessor(elen=program.elen,
+                                   elenum=program.elenum, trace=trace,
+                                   engine="predecoded")
+        a = run_keccak_program(program, states, processor=auto)
+        b = run_keccak_program(program, states, processor=predecoded)
         assert a.states == b.states
         assert a.states == [keccak_f1600(s) for s in states]
         assert a.stats.instructions == b.stats.instructions
@@ -123,56 +125,17 @@ class TestSuperblocks:
                 assert (ra.pc, ra.word, ra.mnemonic, ra.cycles) == \
                        (rb.pc, rb.word, rb.mnemonic, rb.cycles)
 
-    def test_superblocks_built_lazily_and_cached(self):
-        program = keccak64_lmul8.build(5)
-        assembled = program.assemble()
-        # Pin the fused engine: under "auto" the compiled kernel would
-        # run instead and superblocks would (correctly) never be built.
-        proc = SIMDProcessor(elen=64, elenum=5, trace=False,
-                             engine="fused")
-        proc.load_program(assembled)
-        pre = proc._predecoded
-        assert pre.superblocks is None  # not built until the first run
-        proc.run()
-        blocks = pre.superblocks
-        assert blocks is not None
-        proc.reset()
-        proc.load_program(assembled)
-        proc.run()
-        assert proc._predecoded.superblocks is blocks  # reused, not rebuilt
-
-    def test_mutated_word_drops_superblocks(self):
-        # The word-snapshot cache check must invalidate fused blocks too:
-        # a re-decode produces a fresh PredecodedProgram with no blocks.
-        program = keccak64_lmul8.build(5)
-        assembled = program.assemble()
-        proc = SIMDProcessor(elen=64, elenum=5, trace=False,
-                             engine="fused")
-        proc.load_program(assembled)
-        proc.run()
-        old = proc._predecoded
-        assert old.superblocks is not None
-        original = assembled.instructions[10].word
-        assembled.instructions[10].word = original ^ 1
-        try:
-            proc.reset()
-            proc.load_program(assembled)
-            assert proc._predecoded is not old
-            assert proc._predecoded.superblocks is None
-        finally:
-            assembled.instructions[10].word = original
-
     def test_max_instructions_limit_identical(self):
-        # The limit must fire at the exact same instruction whether or
-        # not blocks are fused (the fused loop falls back to stepping
-        # when a block could overrun the limit).
+        # The limit must fire at the exact same instruction on the
+        # predecoded engine as on the stepped reference decoder.
         from repro.sim.exceptions import ExecutionLimitExceeded
 
         program = keccak64_lmul8.build(5)
         assembled = program.assemble()
         results = []
-        for fuse in (True, False):
-            proc = SIMDProcessor(elen=64, elenum=5, trace=False, fuse=fuse)
+        for engine in ("predecoded", "stepped"):
+            proc = SIMDProcessor(elen=64, elenum=5, trace=False,
+                                 engine=engine)
             proc.load_program(assembled)
             with pytest.raises(ExecutionLimitExceeded):
                 proc.run(max_instructions=500)

@@ -3,8 +3,8 @@
 The ``soa`` engine is a *functional* fast path: N messages per generated
 kernel call with the 25-lane Keccak state interleaved across packed
 giant-int columns.  Its contract is digest equality — bit-identical to
-the compiled/fused engines (and hashlib) on every program, batch size
-and ragged tail — while all cycle metrics stay owned by the per-state
+the compiled/predecoded engines (and hashlib) on every program, batch
+size and ragged tail — while all cycle metrics stay owned by the per-state
 engines (an SoA result reports zero cycles, never a wrong pin).
 """
 
@@ -48,19 +48,19 @@ def clean_metrics():
 
 
 class TestDifferentialMatrix:
-    """SoA vs compiled vs fused digests across the full matrix."""
+    """SoA vs compiled vs predecoded digests across the full matrix."""
 
     @pytest.mark.parametrize("elen,lmul", ARCHS)
     @pytest.mark.parametrize("sn", (1, 3, 6))
-    def test_soa_matches_compiled_and_fused(self, elen, lmul, sn,
-                                            random_states):
+    def test_soa_matches_compiled_and_predecoded(self, elen, lmul, sn,
+                                                 random_states):
         program = build_program(elen, lmul, 5 * sn,
                                 include_memory_io=True)
         states = random_states(sn)
         soa = Session(engine="soa").run(program, states)
         compiled = Session(engine="compiled").run(program, states)
-        fused = Session(engine="fused").run(program, states)
-        assert soa.states == compiled.states == fused.states
+        predecoded = Session(engine="predecoded").run(program, states)
+        assert soa.states == compiled.states == predecoded.states
         assert soa.states == [keccak_f1600(s) for s in states]
 
     @pytest.mark.parametrize("elen,lmul", ARCHS)

@@ -180,21 +180,21 @@ class TestCacheKeying:
 
     def test_compiled_cycles_follow_the_model(self):
         """Run compiled under two models: each must report its own
-        model's cycles (== that model's fused cycles), not the cycles
-        baked in by whichever model compiled first."""
+        model's cycles (== that model's predecoded cycles), not the
+        cycles baked in by whichever model compiled first."""
         program = build_program(64, 8, 5)
         slow = TimingModel(dispatch_overhead=5)
         cycles = {}
         for name, model in (("default", DEFAULT_TIMING_MODEL),
                             ("slow", slow)):
             per_engine = {}
-            for engine in ("fused", "compiled"):
+            for engine in ("predecoded", "compiled"):
                 session = Session(model, engine=engine)
                 states = _states()
                 result = session.run(program, states)
                 assert result.states == [keccak_f1600(s) for s in states]
                 per_engine[engine] = result.stats.cycles
-            assert per_engine["fused"] == per_engine["compiled"], (
+            assert per_engine["predecoded"] == per_engine["compiled"], (
                 f"{name}: compiled kernel reported stale cycles")
             cycles[name] = per_engine["compiled"]
         assert cycles["slow"] > cycles["default"]
@@ -205,7 +205,7 @@ class TestPinIdentityMatrix:
     engine; a non-default model changes cycles but never digests."""
 
     @pytest.mark.parametrize("elen,lmul", sorted(PINS))
-    @pytest.mark.parametrize("engine", ("stepped", "fused"))
+    @pytest.mark.parametrize("engine", ("stepped", "predecoded"))
     def test_default_model_pins(self, elen, lmul, engine):
         program = build_program(elen, lmul, 5)
         session = Session(engine=engine)
@@ -215,15 +215,15 @@ class TestPinIdentityMatrix:
         assert result.cycles_per_round == pin_cpr
 
     @pytest.mark.parametrize("elen,lmul", sorted(PINS))
-    def test_compiled_total_matches_fused_total(self, elen, lmul):
+    def test_compiled_total_matches_predecoded_total(self, elen, lmul):
         # The compiled engine declines traced runs, so its pin identity
-        # is checked on whole-run totals against fused.
+        # is checked on whole-run totals against predecoded.
         program = build_program(elen, lmul, 5)
         states = _states()
-        fused = Session(engine="fused").run(program, states)
+        predecoded = Session(engine="predecoded").run(program, states)
         compiled = Session(engine="compiled").run(program, states)
-        assert compiled.stats.cycles == fused.stats.cycles
-        assert compiled.states == fused.states
+        assert compiled.stats.cycles == predecoded.stats.cycles
+        assert compiled.states == predecoded.states
 
     @pytest.mark.parametrize("elen,lmul", sorted(PINS))
     def test_non_default_model_changes_cycles_not_digests(self, elen, lmul):

@@ -80,6 +80,12 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "cycles/round:       147" in out
 
+    def test_removed_fused_engine_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--engine", "fused"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fused'" in capsys.readouterr().err
+
 
 class TestBatchCommand:
     def test_batch_verify_serial(self, capsys):
@@ -155,12 +161,41 @@ class TestSweepCommand:
     def test_sweep_runs(self, capsys):
         assert main(["sweep"]) == 0
         out = capsys.readouterr().out
-        assert "Design-space sweep" in out
+        assert "Design-space exploration" in out
         assert "Pareto frontier" in out
+        fused_rows = [line for line in out.splitlines()
+                      if line.startswith("64-bit LMUL=8 fused")]
+        assert len(fused_rows) == 6
+        for line in fused_rows:
+            assert line.split()[4:6] == ["1172", "45"]
 
     def test_sweep_no_fused(self, capsys):
-        assert main(["sweep", "--no-fused"]) == 0
-        assert "fused" not in capsys.readouterr().out
+        # The flag is gone: fused points are picked on the explore
+        # grid's variants axis instead.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--no-fused"])
+        assert excinfo.value.code == 2
+
+
+class TestExploreCommand:
+    @pytest.mark.parametrize("flag,value,axis", [
+        ("--elenums", "", "elenums"),
+        ("--variants", "", "variants"),
+        ("--elenums", "5,5", "elenums"),
+        ("--variants", "64x8,64x8", "variants"),
+    ])
+    def test_empty_or_repeated_axis_exits_2_before_measuring(
+            self, capsys, flag, value, axis):
+        assert main(["explore", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no table header, nothing measured
+        assert f"{axis} axis" in captured.err
+
+    def test_fused_variant_spelling(self, capsys):
+        assert main(["explore", "--elenums", "5", "--variants", "64x8f",
+                     "--banks", "1", "--issue-widths", "1",
+                     "--check-pins"]) == 0
+        assert "64-bit LMUL=8 fused EleNum=5" in capsys.readouterr().out
 
 
 class TestMixCommand:
@@ -187,9 +222,14 @@ class TestFaultCampaignCommand:
 
     def test_variant_and_mode_filters(self, capsys):
         assert main(["faultcampaign", "--faults", "4", "--seed", "1",
-                     "--variants", "64-lmul8", "--modes", "fused",
+                     "--variants", "64-lmul8", "--modes", "predecoded",
                      "--no-crosscheck"]) == 0
         assert "4 fault(s)" in capsys.readouterr().out
+
+    def test_removed_fused_mode_exits_2(self, capsys):
+        assert main(["faultcampaign", "--faults", "2",
+                     "--modes", "fused"]) == 2
+        assert "unknown mode: 'fused'" in capsys.readouterr().err
 
 
 class TestErrorHandling:

@@ -130,9 +130,10 @@ class KeccakState:
             raise ValueError(
                 f"cannot absorb {len(data)} bytes into a 200-byte state"
             )
-        for i, byte in enumerate(data):
-            lane_index, shift = divmod(i, 8)
-            self._lanes[lane_index] ^= byte << (8 * shift)
+        lanes = self._lanes
+        for i in range(0, len(data), 8):
+            # Whole little-endian words; the last slice may be a short tail.
+            lanes[i >> 3] ^= int.from_bytes(data[i:i + 8], "little")
 
     # -- misc ----------------------------------------------------------------
 

@@ -7,10 +7,10 @@ simultaneously").  Each message gets its own sponge state; all states are
 absorbed/permuted together by a single program run on the simulator, so N
 messages cost the same cycle count as one.
 
-The batch sponge handles messages of *different lengths* by sub-batching:
-once a lane's message is exhausted it drops out of the absorb batches,
-and the remaining active lanes keep permuting together — mirroring how
-software would drive the hardware.
+The batch sponge handles messages of *different lengths* in one
+lock-step schedule over packed state columns: lanes run longest first,
+a lane whose message is exhausted keeps permuting with zero blocks
+(squeezing), and it drops out of the group once its output is read.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..keccak.sponge import SHA3_SUFFIX, SHAKE_SUFFIX
 from ..keccak.state import KeccakState
+from ..sim import codegen as _codegen
 from ..sim import engines as _engines
 # run_chunks is re-exported: the layer tracer of the repository
 # benchmark (perfbench/layers.py) wraps it next to plan_spans and
@@ -106,90 +107,88 @@ class BatchPermutation:
         self.total_cycles += result.stats.cycles
         return result.states
 
+    def permute_columns(self, cols: Sequence[int], count: int):
+        """Permute the first ``count`` lanes of 25 packed columns: on
+        ``soa`` by its kernel, elsewhere through :meth:`__call__`."""
+        if self.engine != "soa":
+            states = _codegen.unpack_states(cols, count)
+            return _codegen.pack_states(self(states), count)
+        self.call_count += 1
+        return _codegen.run_soa(cols, count, self.program.num_rounds,
+                                self.max_states)
+
 
 class BatchSponge:
-    """N independent sponges advanced in lock-step by batch permutations."""
+    """N sponges in lock-step as 25 packed columns, lanes longest first;
+    a lane past its last block rides on with zero blocks (squeezing)."""
 
     def __init__(self, num_lanes: int, capacity_bits: int, suffix: int,
                  permutation: BatchPermutation) -> None:
         if num_lanes < 1:
             raise ValueError("need at least one lane")
         if num_lanes > permutation.max_states:
-            raise ValueError(
-                f"{num_lanes} lanes exceed the permutation's "
-                f"{permutation.max_states} states"
-            )
+            raise ValueError(f"{num_lanes} lanes exceed the permutation's "
+                             f"{permutation.max_states} states")
         if capacity_bits % 8 or not 0 < capacity_bits < 1600:
             raise ValueError(f"bad capacity: {capacity_bits}")
         self.num_lanes = num_lanes
         self.rate_bytes = (1600 - capacity_bits) // 8
         self.suffix = suffix
         self._permutation = permutation
-        self._states = [KeccakState() for _ in range(num_lanes)]
-        self._buffers = [bytearray() for _ in range(num_lanes)]
+        self._messages = [b""] * num_lanes
         self._squeezing = False
-        self._squeeze_offsets = [0] * num_lanes
 
     def absorb(self, lane: int, data: bytes) -> None:
-        """Buffer message bytes for one lane (no permutation yet)."""
+        """Append message bytes to one lane (no permutation yet)."""
         if self._squeezing:
             raise RuntimeError("cannot absorb after squeezing started")
         if not 0 <= lane < self.num_lanes:
             raise IndexError(f"lane out of range: {lane}")
-        self._buffers[lane].extend(data)
-
-    def _finalize(self) -> None:
-        """Pad every lane and absorb all blocks with batched permutations."""
-        # Build each lane's padded message, then absorb block-by-block:
-        # iteration k XORs block k of every lane that has one and permutes
-        # the whole batch once.  Lanes that ran out of blocks must not
-        # change, so they are absorbed with *frozen* snapshots: we permute
-        # only lanes still active, in sub-batches.
-        padded: List[bytes] = []
-        for buffer in self._buffers:
-            block = bytearray(buffer)
-            pad_len = self.rate_bytes - (len(block) % self.rate_bytes)
-            tail = bytearray(pad_len)
-            tail[0] = self.suffix
-            tail[-1] ^= 0x80  # pad_len == 1 folds suffix and final bit
-            block.extend(tail)
-            padded.append(bytes(block))
-
-        max_blocks = max(len(p) // self.rate_bytes for p in padded)
-        for k in range(max_blocks):
-            active = [i for i in range(self.num_lanes)
-                      if k < len(padded[i]) // self.rate_bytes]
-            for i in active:
-                block = padded[i][k * self.rate_bytes:(k + 1) * self.rate_bytes]
-                self._states[i].xor_bytes(block)
-            # Batch-permute the active lanes together (one program run).
-            permuted = self._permutation([self._states[i] for i in active])
-            for slot, i in enumerate(active):
-                self._states[i] = permuted[slot]
-        self._squeezing = True
+        self._messages[lane] += data
 
     def squeeze(self, length: int) -> List[bytes]:
-        """Squeeze ``length`` bytes from every lane (batched permutes)."""
+        """Pad, absorb and squeeze ``length`` bytes per lane, once."""
         if length < 0:
             raise ValueError(f"cannot squeeze {length} bytes")
-        if not self._squeezing:
-            self._finalize()
-        outputs = [bytearray() for _ in range(self.num_lanes)]
-        while any(len(o) < length for o in outputs):
-            if all(off == self.rate_bytes for off in self._squeeze_offsets):
-                self._states = self._permutation(self._states)
-                self._squeeze_offsets = [0] * self.num_lanes
-            for i in range(self.num_lanes):
-                need = length - len(outputs[i])
-                if need <= 0:
-                    continue
-                offset = self._squeeze_offsets[i]
-                take = min(self.rate_bytes - offset, need)
-                outputs[i].extend(
-                    self._states[i].to_bytes()[offset:offset + take]
-                )
-                self._squeeze_offsets[i] += take
-        return [bytes(o) for o in outputs]
+        if self._squeezing:
+            raise RuntimeError("this batch sponge was already squeezed")
+        self._squeezing = True
+        rate, words = self.rate_bytes, -(-self.rate_bytes // 8)
+        fill = bytes(8 * words - rate)  # blocks are whole 64-bit words
+        extra = max(0, -(-length // rate) - 1)  # squeeze blocks - 1
+        reads = -(-min(length, rate) // 8)  # columns holding output
+        order = sorted(range(self.num_lanes),
+                       key=lambda i: -len(self._messages[i]))
+        padded = []
+        for i in order:  # suffix bits, then pad10*1
+            k = rate - len(self._messages[i]) % rate
+            padded.append(self._messages[i] + (
+                (0x80 << (8 * k - 8)) ^ self.suffix).to_bytes(k, "little"))
+        blocks = [len(p) // rate for p in padded]
+        digests = [b""] * self.num_lanes
+        cols = [0] * 25
+        absorbing = active = self.num_lanes
+        for t in range(blocks[0] + extra):
+            active = sum(b + extra > t for b in blocks[:active])
+            if absorbing:
+                view = memoryview(fill.join(
+                    [p[t * rate:(t + 1) * rate]
+                     for p in padded[:absorbing]]) + fill).cast("Q")
+                for c in range(words):
+                    cols[c] ^= int.from_bytes(view[c::words].tobytes(),
+                                              "little")
+            cols = list(self._permutation.permute_columns(cols, active))
+            absorbing = sum(b > t + 1 for b in blocks[:absorbing])
+            if absorbing < active:  # lanes [absorbing, active) squeeze
+                out = memoryview(bytearray(8 * reads * active))
+                view = out.cast("Q")
+                for c in range(reads):
+                    view[c::reads] = memoryview(
+                        cols[c].to_bytes(8 * active, "little")).cast("Q")
+                for j in range(absorbing, active):
+                    take = min(rate, length - (t + 1 - blocks[j]) * rate)
+                    digests[order[j]] += out[8 * reads * j:][:take]
+        return digests
 
 
 def _resolve_batch_engine(permutation: Optional[BatchPermutation],
@@ -321,6 +320,13 @@ def _validate_algorithm(algorithm: str) -> str:
     return algorithm
 
 
+def _validate_request(algorithm: str, length: int) -> None:
+    """Reject a bad algorithm or output length before any work starts."""
+    _validate_algorithm(algorithm)
+    if length < 0:
+        raise ValueError(f"cannot squeeze {length} bytes")
+
+
 def digest_size(algorithm: str, length: int) -> int:
     """Output bytes per message for one batch call.
 
@@ -413,6 +419,7 @@ def hash_messages(algorithm: str, length: int, arch: _ArchKey,
     permutation cache and engine dispatch as the pool task bodies, no
     pool, no span planning.
     """
+    _validate_request(algorithm, length)
     return _hash_messages(algorithm, length, tuple(arch), engine, messages)
 
 
@@ -524,7 +531,7 @@ def run_many_report(messages: Sequence[bytes], *,
     spans surface as ``None`` digests plus a
     :class:`~repro.parallel_exec.hardening.QuarantinedChunk` record.
     """
-    _validate_algorithm(algorithm)
+    _validate_request(algorithm, length)
     engine = _engines.validate(engine)
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk size must be positive: {chunk_size}")

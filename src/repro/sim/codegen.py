@@ -1309,31 +1309,30 @@ def unpack_states(cols, count: int):
     return out
 
 
-def run_soa(states, num_rounds: int = NUM_ROUNDS,
+def run_soa(cols, count: int, num_rounds: int = NUM_ROUNDS,
             lanes: Optional[int] = None):
-    """Permute ``states`` through SoA batch kernels; returns new states.
+    """Permute the first ``count`` lanes of 25 packed columns.
 
-    Splits the batch into lane-budget groups (``lanes`` or
-    :func:`soa_width`), bucketing each group's kernel to the next power
-    of two so ragged tails reuse a few size classes.  This is the
-    functional entry point the ``soa`` engine spec wires into
-    :class:`~repro.programs.session.Session`.
+    One SoA kernel call, bucketed to the next power of two (capped at
+    the lane budget ``lanes``, default :func:`soa_width`) so ragged
+    groups reuse a few size classes.  Lanes from ``count`` up are
+    ignored on input and come back zero, so a caller drops finished
+    lanes just by passing a smaller ``count``.
     """
-    total = len(states)
-    if total == 0:
-        return []
     width = lanes if lanes is not None else soa_width()
-    out = []
-    for start in range(0, total, width):
-        group = states[start:start + width]
-        bucket = min(width, soa_bucket(len(group)))
-        kernel = get_or_compile_soa(bucket, num_rounds)
-        permuted = kernel.fn(pack_states(group, bucket))
-        SOA_STATS["kernel_calls"] += 1
-        SOA_STATS["lanes_hashed"] += len(group)
-        SOA_STATS["lanes_padded"] += bucket - len(group)
-        if _metrics.ARMED:
-            _SOA_CALLS.inc(lanes=str(bucket))
-            _SOA_OCCUPANCY.observe(len(group) / bucket)
-        out.extend(unpack_states(permuted, len(group)))
-    return out
+    if not 0 < count <= width:
+        raise ValueError(
+            f"{count} lanes do not fit a {width}-lane SoA kernel")
+    bucket = min(width, soa_bucket(count))
+    kernel = get_or_compile_soa(bucket, num_rounds)
+    mask = (1 << (64 * count)) - 1
+    permuted = kernel.fn([col & mask for col in cols])
+    SOA_STATS["kernel_calls"] += 1
+    SOA_STATS["lanes_hashed"] += count
+    SOA_STATS["lanes_padded"] += bucket - count
+    if _metrics.ARMED:
+        _SOA_CALLS.inc(lanes=str(bucket))
+        _SOA_OCCUPANCY.observe(count / bucket)
+    if bucket == count:
+        return permuted
+    return [col & mask for col in permuted]

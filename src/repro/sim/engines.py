@@ -327,7 +327,14 @@ register(EngineSpec(
 def _soa_run_states(program, states):
     from . import codegen
 
-    return codegen.run_soa(states, num_rounds=program.num_rounds)
+    width = codegen.soa_width()
+    out = []
+    for start in range(0, len(states), width):
+        group = states[start:start + width]
+        cols = codegen.pack_states(group, len(group))
+        cols = codegen.run_soa(cols, len(group), program.num_rounds, width)
+        out.extend(codegen.unpack_states(cols, len(group)))
+    return out
 
 
 def _soa_batch_width() -> int:

@@ -162,6 +162,19 @@ class TestSerialization:
         assert state[0, 0] == 0
         assert state[1, 0] == 0xFF
 
+    def test_xor_bytes_matches_byte_loop_at_every_length(self, rng):
+        """The word-wise XOR equals the FIPS 202 byte-at-a-time XOR for
+        every length a state can absorb, tails included."""
+        start = [rng.getrandbits(64) for _ in range(25)]
+        data = bytes(rng.getrandbits(8) for _ in range(200))
+        for length in range(201):
+            expected = list(start)
+            for i, byte in enumerate(data[:length]):
+                expected[i // 8] ^= byte << (8 * (i % 8))
+            state = KeccakState(start)
+            state.xor_bytes(data[:length])
+            assert state.lanes == tuple(expected), length
+
 
 class TestEqualityAndCopy:
     def test_copy_is_independent(self, random_state):

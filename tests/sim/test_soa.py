@@ -178,8 +178,22 @@ class TestPacking:
 
     def test_kernel_against_reference_permutation(self, random_states):
         states = random_states(3)
-        out = codegen.run_soa(states, num_rounds=24)
+        cols = codegen.run_soa(codegen.pack_states(states, 3), 3,
+                               num_rounds=24)
+        out = codegen.unpack_states(cols, 3)
         assert out == [keccak_f1600(s) for s in states]
+
+    def test_lanes_above_count_are_ignored_and_come_back_zero(
+            self, random_states):
+        states = random_states(5)
+        cols = codegen.run_soa(codegen.pack_states(states, 5), 3)
+        assert all(col >> (64 * 3) == 0 for col in cols)
+        assert codegen.unpack_states(cols, 3) == \
+            [keccak_f1600(s) for s in states[:3]]
+
+    def test_count_beyond_the_lane_budget_rejected(self):
+        with pytest.raises(ValueError, match="lanes"):
+            codegen.run_soa([0] * 25, 5, lanes=4)
 
 
 class TestCaching:

@@ -2,16 +2,30 @@
 
 Each of the five step mappings (theta, rho, pi, chi, iota) is exposed as a
 standalone pure function so tests can check it against the corresponding
-custom vector instruction in the simulator.  The loop structure deliberately
-mirrors Algorithm 1 of the paper, which processes the state plane by plane —
-the form the vector programs implement.
+custom vector instruction in the simulator.  The step functions and
+:func:`keccak_round` deliberately mirror Algorithm 1 of the paper, which
+processes the state plane by plane — the form the vector programs
+implement.
+
+:func:`keccak_p1600` (and :func:`keccak_f1600`, its 24-round instance)
+runs the same round as one fused body over 25 local lane ints: theta's
+correction, rho and pi become one rotate per lane, and chi and iota one
+expression per lane, much as the paper's fused custom instructions do in
+hardware.  The body is rendered once at import from :data:`RHO_OFFSETS`
+and is pinned to :func:`keccak_round` by the differential tests.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from .constants import NUM_ROUNDS, RHO_OFFSETS, ROUND_CONSTANTS, rotl64
+from .constants import (
+    MASK64,
+    NUM_ROUNDS,
+    RHO_OFFSETS,
+    ROUND_CONSTANTS,
+    rotl64,
+)
 from .state import KeccakState
 
 
@@ -77,16 +91,54 @@ def keccak_round(state: KeccakState, round_index: int) -> KeccakState:
     return iota(chi(pi(rho(theta(state)))), round_index)
 
 
-def keccak_f1600(state: KeccakState) -> KeccakState:
-    """The full 24-round Keccak-f[1600] permutation."""
-    for round_index in range(NUM_ROUNDS):
-        state = keccak_round(state, round_index)
-    return state
+def _render_rounds() -> str:
+    """Source of ``_rounds(lanes, round_constants)``, the fused round loop.
+
+    Local ``a{5y+x}`` holds lane (x, y).  Per round: theta's column
+    parities ``c`` and corrections ``d``; then theta's XOR, rho and pi as
+    one rotate per lane, ``b[x, y] = rot(a[sx, sy] ^ d[sx], r[sx][sy])``
+    with ``(sx, sy) = ((x + 3y) mod 5, x)``; then chi, with iota's round
+    constant folded into lane (0, 0).
+    """
+    mask = f"{MASK64:#x}"
+    body = []
+    for x in range(5):
+        column = " ^ ".join(f"a{x + 5 * y}" for y in range(5))
+        body.append(f"c{x} = {column}")
+    for x in range(5):
+        c = f"c{(x + 1) % 5}"
+        body.append(
+            f"d{x} = c{(x - 1) % 5} ^ (({c} << 1 | {c} >> 63) & {mask})")
+    for y in range(5):
+        for x in range(5):
+            sx, sy = (x + 3 * y) % 5, x
+            offset = RHO_OFFSETS[sx][sy]
+            lane = f"a{sx + 5 * sy} ^ d{sx}"
+            if offset == 0:
+                body.append(f"b{x + 5 * y} = {lane}")
+            else:
+                body.append(f"t = {lane}")
+                body.append(f"b{x + 5 * y} = "
+                            f"(t << {offset} | t >> {64 - offset}) & {mask}")
+    for y in range(5):
+        for x in range(5):
+            row = [f"b{(x + k) % 5 + 5 * y}" for k in range(3)]
+            rc = " ^ rc" if x == y == 0 else ""
+            body.append(
+                f"a{x + 5 * y} = {row[0]} ^ ({row[2]} & ~{row[1]}){rc}")
+    lanes = ", ".join(f"a{i}" for i in range(25))
+    return "\n".join(
+        ["def _rounds(lanes, round_constants):",
+         f"    {lanes} = lanes",
+         "    for rc in round_constants:"]
+        + [f"        {line}" for line in body]
+        + [f"    return [{lanes}]"]
+    )
 
 
-def keccak_f1600_lanes(lanes: List[int]) -> List[int]:
-    """Permute a flat 25-lane list in place-free style; convenience wrapper."""
-    return list(keccak_f1600(KeccakState(lanes)).lanes)
+_namespace: dict = {}
+exec(compile(_render_rounds(), "<keccak-p rounds>", "exec"), _namespace)
+_rounds = _namespace["_rounds"]
 
 
 def keccak_p1600(state: KeccakState, num_rounds: int) -> KeccakState:
@@ -95,15 +147,25 @@ def keccak_p1600(state: KeccakState, num_rounds: int) -> KeccakState:
     Runs the *last* ``num_rounds`` rounds of Keccak-f[1600] (round indices
     ``24 - num_rounds`` .. 23), so ``keccak_p1600(s, 24)`` equals
     ``keccak_f1600(s)``.  The 12-round instance underlies TurboSHAKE and
-    KangarooTwelve.
+    KangarooTwelve.  The input state is not modified.
     """
     if not 0 < num_rounds <= NUM_ROUNDS:
         raise ValueError(
             f"round count must be in 1..{NUM_ROUNDS}, got {num_rounds}"
         )
-    for round_index in range(NUM_ROUNDS - num_rounds, NUM_ROUNDS):
-        state = keccak_round(state, round_index)
-    return state
+    return KeccakState(
+        _rounds(state, ROUND_CONSTANTS[NUM_ROUNDS - num_rounds:])
+    )
+
+
+def keccak_f1600(state: KeccakState) -> KeccakState:
+    """The full 24-round Keccak-f[1600] permutation."""
+    return keccak_p1600(state, NUM_ROUNDS)
+
+
+def keccak_f1600_lanes(lanes: List[int]) -> List[int]:
+    """Permute a flat 25-lane list in place-free style; convenience wrapper."""
+    return list(keccak_f1600(KeccakState(lanes)).lanes)
 
 
 # -- inverse step mappings -------------------------------------------------

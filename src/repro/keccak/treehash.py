@@ -38,7 +38,7 @@ from .cshake import (
     left_encode,
     right_encode,
 )
-from .permutation import keccak_f1600, keccak_p1600
+from .permutation import keccak_p1600
 from .sponge import SHAKE_SUFFIX, Sponge
 
 #: Default leaf size of ParallelHash in this repository (the K12 chunk).
@@ -69,10 +69,7 @@ class LeafSpec:
 
     def reference_cv(self, leaf: bytes) -> bytes:
         """One chaining value on the sequential pure-Python sponge."""
-        if self.num_rounds == 24:
-            permutation = keccak_f1600
-        else:
-            permutation = partial(keccak_p1600, num_rounds=self.num_rounds)
+        permutation = partial(keccak_p1600, num_rounds=self.num_rounds)
         sponge = Sponge(self.capacity_bits, self.suffix, permutation)
         return sponge.absorb(leaf).squeeze(self.cv_bytes)
 

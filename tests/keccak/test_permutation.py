@@ -1,6 +1,7 @@
 """Tests for the step mappings and the full Keccak-f[1600] permutation."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.keccak import (
     keccak_f1600,
     keccak_f1600_inverse,
     keccak_f1600_lanes,
+    keccak_p1600,
     keccak_round,
     pi,
     pi_inverse,
@@ -21,7 +23,12 @@ from repro.keccak import (
     theta,
     theta_inverse,
 )
-from repro.keccak.constants import RHO_OFFSETS, ROUND_CONSTANTS, rotl64
+from repro.keccak.constants import (
+    MASK64,
+    RHO_OFFSETS,
+    ROUND_CONSTANTS,
+    rotl64,
+)
 
 
 #: Keccak-f[1600] of the all-zero state (first block permutation of any
@@ -77,6 +84,53 @@ class TestFullPermutation:
     def test_round_is_composition_of_steps(self, random_state):
         expected = iota(chi(pi(rho(theta(random_state)))), 5)
         assert keccak_round(random_state, 5) == expected
+
+
+def _rounds_by_steps(state, num_rounds):
+    """Keccak-p[1600, n] as Algorithm 1 writes it: ``keccak_round``
+    over round indices ``24 - n`` .. 23."""
+    for round_index in range(24 - num_rounds, 24):
+        state = keccak_round(state, round_index)
+    return state
+
+
+def _pinned_states():
+    rng = random.Random(0x5EED)
+    states = [KeccakState([rng.getrandbits(64) for _ in range(25)])
+              for _ in range(3)]
+    states.append(KeccakState())
+    states.append(KeccakState([MASK64] * 25))
+    for lane, bit in ((0, 0), (7, 63), (24, 31)):
+        lanes = [0] * 25
+        lanes[lane] = 1 << bit
+        states.append(KeccakState(lanes))
+    return states
+
+
+PINNED_STATES = _pinned_states()
+
+
+class TestFusedRounds:
+    """The fused round body of ``keccak_p1600`` against the step functions."""
+
+    @pytest.mark.parametrize("num_rounds", range(1, 25))
+    def test_matches_step_functions(self, num_rounds):
+        for state in PINNED_STATES:
+            assert keccak_p1600(state, num_rounds) == \
+                _rounds_by_steps(state, num_rounds), state
+
+    @pytest.mark.parametrize("num_rounds", [1, 12, 24])
+    def test_input_not_mutated(self, num_rounds):
+        for state in PINNED_STATES:
+            snapshot = state.copy()
+            out = keccak_p1600(state, num_rounds)
+            assert state == snapshot
+            assert out is not state
+
+    @pytest.mark.parametrize("num_rounds", [0, 25])
+    def test_round_count_out_of_range(self, random_state, num_rounds):
+        with pytest.raises(ValueError):
+            keccak_p1600(random_state, num_rounds)
 
 
 class TestTheta:
